@@ -9,6 +9,7 @@ import sys
 import time
 
 from repro.coverage.collector import CoverageCollector
+from repro.metrics import MetricsRegistry
 from repro.model.inputs import random_input
 from repro.model.simulator import Simulator
 from repro.models.registry import BENCHMARKS, SIMPLE_CPUTASK
@@ -51,7 +52,9 @@ def check_model(model):
     problems = gather_constraints(model)
     config = SolverConfig(max_samples=48, avm_evaluations=700,
                           time_budget_s=10.0)
-    compiler = ConstraintCompiler()
+    # The kernel engine and the compiler count into one registry.
+    registry = MetricsRegistry()
+    compiler = ConstraintCompiler(registry)
 
     interp = SolverEngine(config)
     rng_i = random.Random(99)
@@ -61,7 +64,7 @@ def check_model(model):
     ]
     t_interp = time.perf_counter() - t0
 
-    kern = SolverEngine(config)
+    kern = SolverEngine(config, registry)
     rng_k = random.Random(99)
     compiled_list = [compiler.compile(c, v) for c, v in problems]
     t0 = time.perf_counter()
@@ -92,8 +95,9 @@ def check_model(model):
         f"warm-speedup={t_interp / t_warm:4.2f}x "
         f"mismatches={len(mismatches)} warm-mismatches={warm_mismatch}"
     )
-    print("  ", {k: v for k, v in kern.solverc.counts.items() if v})
-    print("  ", {k: v for k, v in compiler.stats.counts.items() if v})
+    counters = registry.snapshot()["counters"]
+    print("  ", {k: v for k, v in counters.items()
+                 if k.startswith("solverc.") and v})
     for i, a, b in mismatches[:3]:
         print("   MISMATCH", i)
         print("     interp:", a)

@@ -61,15 +61,8 @@ from repro.models.registry import (
 )
 from repro.obs.report import render_report
 from repro.provenance import PROVENANCE_SCHEMA
-from repro.solverc.compiler import SolvercStats
 from repro.telemetry.dashboard import render_dashboard
-from repro.telemetry.events import (
-    EventLog,
-    emit_trace_events,
-    fuzz_stats_payload,
-    read_events,
-    store_stats_payload,
-)
+from repro.telemetry.events import EventLog, emit_result_events, read_events
 from repro.telemetry.explain import load_provenance, render_explain
 
 __all__ = [
@@ -83,7 +76,6 @@ __all__ = [
     "KernelConfig",
     "MatrixConfig",
     "PROVENANCE_SCHEMA",
-    "SolvercStats",
     "StcgConfig",
     "StoreConfig",
     "TOOLS",
@@ -163,9 +155,11 @@ def generate(
     ``run_experiment`` knob of the same name.  ``cell_timeout`` bounds
     the run's wall clock (raising :class:`~repro.errors.CellTimeout`);
     ``events_out`` streams run telemetry to a JSONL file and writes a
-    manifest next to it.  ``trace`` turns on deep generator tracing:
-    phase/solver-stage aggregates land in ``result.trace_data`` and —
-    with ``events_out`` — as ``repro.trace/1`` events in the stream (see
+    manifest next to it.  Every run's ``repro.metrics/1`` counter
+    snapshot lands in ``result.metrics`` and — with ``events_out`` — as
+    a ``metrics`` event.  ``trace`` turns on deep generator tracing:
+    phase aggregates land in ``result.trace_data`` and — with
+    ``events_out`` — as ``repro.trace/2`` events in the stream (see
     ``repro report``).  ``provenance`` controls the objective-level
     coverage ledger (``repro.provenance/1``): the snapshot lands in
     ``result.provenance`` and — with ``events_out`` — as a
@@ -234,50 +228,13 @@ def generate(
                     provenance=provenance,
                 )
         if events is not None:
-            events.emit(
+            emit_result_events(
+                events,
                 "run_finished",
-                model=bench.name,
-                tool=tool,
-                duration_s=round(time.monotonic() - started, 6),
-                decision=result.decision,
-                condition=result.condition,
-                mcdc=result.mcdc,
-                cases=len(result.suite),
-                stats=dict(result.stats),
+                {"model": bench.name, "tool": tool},
+                result,
+                time.monotonic() - started,
             )
-            for point in result.timeline:
-                events.emit(
-                    "timeline_point",
-                    t=round(point.t, 6),
-                    decision=point.decision_coverage,
-                    origin=point.origin,
-                    new_branches=point.new_branches,
-                )
-            emit_trace_events(
-                events, {"model": bench.name, "tool": tool}, result.trace_data
-            )
-            if "fuzz_executions" in result.stats:
-                events.emit(
-                    "fuzz_stats",
-                    model=bench.name,
-                    tool=tool,
-                    **fuzz_stats_payload(result.stats),
-                )
-            if "store_reads" in result.stats:
-                events.emit(
-                    "store_stats",
-                    model=bench.name,
-                    tool=tool,
-                    **store_stats_payload(result.stats),
-                )
-            if result.provenance:
-                events.emit(
-                    "provenance",
-                    model=bench.name,
-                    tool=tool,
-                    schema=PROVENANCE_SCHEMA,
-                    provenance=result.provenance,
-                )
             events.write_manifest(_manifest_path(events_out))
         return result
     finally:
@@ -314,8 +271,9 @@ def run_experiment(
     exceeds ``cell_timeout`` is recorded in ``result.failures`` instead of
     aborting the matrix.  ``events_out`` streams one JSON line per event
     and writes a ``*.manifest.json`` summary when the matrix finishes.
+    Every cell's metrics snapshot is forwarded as a ``metrics`` event.
     ``trace`` enables deep generator tracing per cell; the aggregates are
-    forwarded into the event stream as ``repro.trace/1`` events.
+    forwarded into the event stream as ``repro.trace/2`` events.
     ``stcg_overrides`` applies extra :class:`StcgConfig` fields
     (``kernels=``, ``caches=``, ablation flags) to every STCG cell.
     ``provenance`` controls every cell's objective-level coverage ledger

@@ -18,10 +18,16 @@ from typing import Callable, List, Optional
 from repro.coverage.collector import CoverageCollector
 from repro.core.result import GenerationResult, ORIGIN_TOOL, TimelineEvent
 from repro.core.testcase import TestCase, TestSuite
+from repro.metrics import MetricsRegistry, declare_instruments, record_totals
 from repro.model.graph import CompiledModel
 from repro.model.inputs import piecewise_constant_sequence
 from repro.model.simulator import Simulator
-from repro.obs.tracer import NULL_TRACER, PhaseProfiler, Tracer
+from repro.obs.tracer import (
+    NULL_TRACER,
+    PhaseProfiler,
+    Tracer,
+    trace_aggregates,
+)
 from repro.provenance import NULL_LEDGER, ProvenanceLedger
 
 
@@ -36,8 +42,8 @@ class SimCoTestConfig:
     #: Max piecewise-constant segments per input signal.
     max_segments: int = 5
     stop_on_full_coverage: bool = True
-    #: Deep tracing (``repro.trace/1``): per-candidate simulate phase
-    #: totals and step counters.  Observation only.
+    #: Deep tracing (``repro.trace/2``): per-candidate simulate phase
+    #: totals and tracer step counters.  Observation only.
     trace: bool = False
     #: Objective-level coverage provenance (``repro.provenance/1``).
     #: Observation only; note that greedy selection keeps a candidate
@@ -65,6 +71,10 @@ class SimCoTestGenerator:
             self.tracer = PhaseProfiler()
         else:
             self.tracer = NULL_TRACER
+        #: The run's metrics registry; its snapshot rides on the result.
+        self.metrics = declare_instruments(
+            MetricsRegistry(), timed=self.tracer.enabled
+        )
         self._rng = random.Random(self.config.seed)
         self.collector = CoverageCollector(compiled.registry)
         self.ledger = (
@@ -81,7 +91,9 @@ class SimCoTestGenerator:
         start = self._clock()
         tracer = self.tracer
         ledger = self.ledger
-        simulator = Simulator(self.compiled, self.collector, tracer=tracer)
+        simulator = Simulator(
+            self.compiled, self.collector, tracer=tracer, registry=self.metrics
+        )
         on_step = on_obligations = None
         if ledger.enabled:
             def on_step(index, new_branch_ids, _found):
@@ -146,23 +158,10 @@ class SimCoTestGenerator:
             suite=self.suite,
             timeline=list(self.timeline),
             stats=dict(self.stats),
-            trace_data=self._trace_data(),
+            trace_data=trace_aggregates(tracer),
+            metrics=record_totals(self.metrics, self.stats).snapshot(),
             provenance=ledger.snapshot(),
         )
-
-    def _trace_data(self):
-        summarize = getattr(self.tracer, "summary", None)
-        if summarize is None:
-            return {}
-        summary = summarize()
-        return {
-            "schema": "repro.trace/1",
-            "phase_totals": summary["phase_totals"],
-            "solver_stages": {},
-            "tree_growth": [],
-            "solver_targets": summary["targets"],
-            "counters": dict(summary["counters"]),
-        }
 
 
 def generate(compiled: CompiledModel, config: Optional[SimCoTestConfig] = None):

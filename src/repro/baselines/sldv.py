@@ -26,12 +26,17 @@ from repro.core.result import GenerationResult, ORIGIN_TOOL, TimelineEvent
 from repro.core.testcase import TestCase, TestSuite
 from repro.expr import ops as x
 from repro.expr.ast import Const, Expr, Var
+from repro.metrics import MetricsRegistry, declare_instruments, record_totals
 from repro.model.context import symbolic_context
 from repro.model.executor import execute_step
 from repro.model.graph import CompiledModel
 from repro.model.simulator import Simulator
-from repro.obs.stages import merge_stage_dicts
-from repro.obs.tracer import NULL_TRACER, PhaseProfiler, Tracer
+from repro.obs.tracer import (
+    NULL_TRACER,
+    PhaseProfiler,
+    Tracer,
+    trace_aggregates,
+)
 from repro.provenance import NULL_LEDGER, ProvenanceLedger
 from repro.solver.engine import SolverConfig, SolverEngine, Status
 
@@ -50,8 +55,8 @@ class SldvConfig:
         max_samples=96, avm_evaluations=3000, time_budget_s=1.0
     ))
     stop_on_full_coverage: bool = True
-    #: Deep tracing (``repro.trace/1``): phase totals (unroll / solve /
-    #: replay), solver-stage metrics.  Observation only.
+    #: Deep tracing (``repro.trace/2``): phase totals (unroll / solve /
+    #: replay) and per-stage solver seconds.  Observation only.
     trace: bool = False
     #: Objective-level coverage provenance (``repro.provenance/1``).
     #: Attempt nodes are unroll depths; SLDV never solves condition/MCDC
@@ -129,8 +134,14 @@ class SldvGenerator:
             self.tracer = PhaseProfiler()
         else:
             self.tracer = NULL_TRACER
+        #: The run's metrics registry; its snapshot rides on the result.
+        self.metrics = declare_instruments(
+            MetricsRegistry(), timed=self.tracer.enabled
+        )
         self._rng = random.Random(self.config.seed)
-        self._engine = SolverEngine(self.config.solver)
+        self._engine = SolverEngine(
+            self.config.solver, self.metrics, timed=self.tracer.enabled
+        )
         self.collector = CoverageCollector(compiled.registry)
         self.ledger = (
             ProvenanceLedger(compiled.registry, "SLDV")
@@ -152,7 +163,9 @@ class SldvGenerator:
         start = self._clock()
         tracer = self.tracer
         ledger = self.ledger
-        simulator = Simulator(self.compiled, self.collector, tracer=tracer)
+        simulator = Simulator(
+            self.compiled, self.collector, tracer=tracer, registry=self.metrics
+        )
         unroll = _IncrementalUnroll(self.compiled)
         on_step = on_obligations = None
         if ledger.enabled:
@@ -243,25 +256,10 @@ class SldvGenerator:
             suite=self.suite,
             timeline=list(self.timeline),
             stats=dict(self.stats),
-            trace_data=self._trace_data(),
+            trace_data=trace_aggregates(tracer),
+            metrics=record_totals(self.metrics, self.stats).snapshot(),
             provenance=ledger.snapshot(),
         )
-
-    def _trace_data(self):
-        summarize = getattr(self.tracer, "summary", None)
-        if summarize is None:
-            return {}
-        summary = summarize()
-        return {
-            "schema": "repro.trace/1",
-            "phase_totals": summary["phase_totals"],
-            "solver_stages": merge_stage_dicts(
-                {}, self._engine.metrics.as_dict()
-            ),
-            "tree_growth": [],
-            "solver_targets": summary["targets"],
-            "counters": dict(summary["counters"]),
-        }
 
 
 def generate(compiled: CompiledModel, config: Optional[SldvConfig] = None):

@@ -63,9 +63,9 @@ def _add_exec_flags(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--trace", action="store_true",
-        help="deep generator tracing: phase spans, solver-stage metrics "
-             "and tree growth as repro.trace/1 events (analyze with "
-             "'repro report')",
+        help="deep generator tracing: phase spans, solver-stage seconds "
+             "and tree growth as repro.trace/2 events (analyze with "
+             "'repro report'); counters come with every run",
     )
     parser.add_argument(
         "--no-provenance", action="store_true",
@@ -222,7 +222,7 @@ def _parser() -> argparse.ArgumentParser:
                      help="slowest solver targets to list (default 10)")
     rep.add_argument(
         "--require-trace", action="store_true",
-        help="exit non-zero unless the stream carries repro.trace/1 "
+        help="exit non-zero unless the stream carries repro.trace/2 "
              "events; the error names every missing kind (for CI gates)",
     )
 
@@ -606,7 +606,7 @@ def _cmd_report(args) -> None:
         # absent kind so partial streams are diagnosable.
         if "phase_totals" in missing:
             raise ReproError(
-                f"{args.events}: stream is missing repro.trace/1 event "
+                f"{args.events}: stream is missing repro.trace/2 event "
                 f"kind(s): {', '.join(missing)} "
                 "(was the run started with --trace?)"
             )

@@ -270,18 +270,13 @@ class StcgConfig:
     record_trace: bool = False
 
     #: Deep tracing: profile the generator's phases (solve scan, solving,
-    #: encoding, execution, warm-up), per-target solver time, solver-stage
-    #: metrics and state-tree growth into ``GenerationResult.trace_data``
-    #: (the ``repro.trace/1`` telemetry kinds).  Off by default; tracing
-    #: never changes the generated tests or ``stats`` — only observes.
+    #: encoding, execution, warm-up), per-target solver time and
+    #: state-tree growth into ``GenerationResult.trace_data`` (the
+    #: ``repro.trace/2`` telemetry kinds), and record per-stage solver
+    #: seconds in the metrics snapshot.  Off by default; tracing never
+    #: changes the generated tests, ``stats`` or the snapshot's counters —
+    #: only observes.  The metrics snapshot itself comes with every run.
     trace: bool = False
-
-    #: Attach the unified ``repro.metrics/1`` registry snapshot to traced
-    #: results (``trace_data["metrics"]``), from which the legacy
-    #: solver-stage/cache/kernel counter payloads are derived as views.
-    #: Like tracing, metrics only observe: fixed-seed suites are
-    #: bit-identical with this on or off.
-    metrics: bool = True
 
     #: Objective-level coverage provenance (``repro.provenance/1``):
     #: record which (case, step) first covered every Decision/Condition/

@@ -39,11 +39,15 @@ class GenerationResult:
     suite: TestSuite
     timeline: List[TimelineEvent] = field(default_factory=list)
     stats: Dict[str, object] = field(default_factory=dict)
-    #: Deep-tracing aggregates (``repro.trace/1``): phase totals, solver
-    #: stage metrics, tree growth, slowest solver targets.  Empty unless
-    #: the run was traced; kept separate from ``stats`` so tracing cannot
-    #: perturb the comparison numbers.
+    #: Deep-tracing aggregates (``repro.trace/2``): phase totals, tree
+    #: growth, slowest solver targets.  Empty unless the run was traced;
+    #: kept separate from ``stats`` so tracing cannot perturb the
+    #: comparison numbers.
     trace_data: Dict[str, object] = field(default_factory=dict)
+    #: The run's ``repro.metrics/1`` registry snapshot: solver-stage,
+    #: solver-kernel, sim-kernel, cache and generator counters.  Every
+    #: generator attaches it, traced or not.
+    metrics: Dict[str, object] = field(default_factory=dict)
     #: Objective-level coverage provenance (``repro.provenance/1``):
     #: which (case, step, origin) first covered each objective, and the
     #: solver-attempt audit chain for each uncovered one.  Empty when the

@@ -37,26 +37,23 @@ from repro.expr.ast import Const
 from repro.metrics import (
     CASE_LENGTH_BOUNDS,
     MetricsRegistry,
-    cache_view,
     declare_instruments,
-    kernel_view,
-    populate_registry,
-    solver_stages_view,
-    solverc_view,
+    record_totals,
 )
 from repro.model.graph import CompiledModel
 from repro.model.inputs import random_input
 from repro.model.simulator import Simulator
 from repro.obs.probe import PROBE
-from repro.obs.stages import merge_stage_dicts
-from repro.obs.tracer import NULL_TRACER, PhaseProfiler, Tracer
+from repro.obs.tracer import (
+    NULL_TRACER,
+    PhaseProfiler,
+    Tracer,
+    trace_aggregates,
+)
 from repro.provenance import NULL_LEDGER, ProvenanceLedger
 from repro.solver.encoder import OneStepEncoding
 from repro.solver.engine import SolverConfig, SolverEngine, Status
-from repro.solverc.compiler import ConstraintCompiler, SolvercStats
-
-#: Schema tag of the deep-tracing aggregates in ``GenerationResult``.
-TRACE_SCHEMA = "repro.trace/1"
+from repro.solverc.compiler import ConstraintCompiler
 
 
 @dataclass
@@ -118,15 +115,25 @@ class StcgGenerator:
             self.tracer = PhaseProfiler(clock=time.monotonic)
         else:
             self.tracer = NULL_TRACER
+        #: The run's metrics registry (``repro.metrics/1``), the one
+        #: counter store: the engines, the compiler and the simulator
+        #: count into it live, the run's totals fold in at the end, and
+        #: the snapshot rides on the result whether or not it is traced.
+        #: Stage wall-clock gauges are recorded only while tracing.
+        timed = self.tracer.enabled
+        self.metrics = declare_instruments(MetricsRegistry(), timed=timed)
+        self._case_hist = self.metrics.histogram(
+            "stcg.case_length", CASE_LENGTH_BOUNDS
+        )
         self._rng = random.Random(self.config.seed)
-        self._engine = SolverEngine(self.config.solver)
+        self._engine = SolverEngine(self.config.solver, self.metrics, timed=timed)
         lite = SolverConfig(
             max_samples=12,
             avm_evaluations=80,
             time_budget_s=min(0.03, self.config.solver.time_budget_s),
             seed=self.config.seed,
         )
-        self._lite_engine = SolverEngine(lite)
+        self._lite_engine = SolverEngine(lite, self.metrics, timed=timed)
         #: Solver-kernel compiler (:mod:`repro.solverc`), or None when
         #: ``config.kernels.solver`` is off.  Compiled bundles are cached
         #: in :attr:`cache` keyed by (state fingerprint, target), and the
@@ -134,7 +141,8 @@ class StcgGenerator:
         #: the compiler could not lower — results are bit-identical
         #: either way.
         self._compiler: Optional[ConstraintCompiler] = (
-            ConstraintCompiler() if self.config.kernels.solver else None
+            ConstraintCompiler(self.metrics)
+            if self.config.kernels.solver else None
         )
         #: Failed solver attempts per target (branch id / obligation).
         self._failures: Dict[object, int] = {}
@@ -150,6 +158,7 @@ class StcgGenerator:
             self.collector,
             tracer=self.tracer,
             kernel=self.config.kernels.sim,
+            registry=self.metrics,
         )
         self.tree = StateTree(
             self.simulator.get_state(), dedup=self.config.caches.tree_dedup
@@ -170,15 +179,6 @@ class StcgGenerator:
             "steps_executed": 0,
             "warmup_steps": 0,
         }
-        #: The unified metrics registry (``repro.metrics/1``).  Declared
-        #: up front so an untraced or zero-activity run still snapshots
-        #: the full instrument set; most counters are projected from the
-        #: legacy accumulators at the end of the run, but live-observed
-        #: distributions (``stcg.case_length``) record as they happen.
-        self.metrics = declare_instruments(MetricsRegistry())
-        self._case_hist = self.metrics.histogram(
-            "stcg.case_length", CASE_LENGTH_BOUNDS
-        )
         self._start = 0.0
         self._branches = compiled.registry.branches_by_depth()
         #: Branch ids proven unreachable by abstract interpretation.
@@ -277,74 +277,17 @@ class StcgGenerator:
             suite=self.suite,
             timeline=list(self.timeline),
             stats={**self.stats, "tree_nodes": len(self.tree)},
-            trace_data=self._trace_data(),
+            trace_data=trace_aggregates(self.tracer),
+            metrics=self._metrics_snapshot(),
             provenance=self.ledger.snapshot(),
         )
 
-    def _trace_data(self) -> Dict[str, object]:
-        """Assemble the ``repro.trace/1`` aggregates (empty when untraced).
-
-        The subsystem counter payloads (``solver_stages``, ``cache``,
-        ``kernel``, ``solverc``) are no longer built from their legacy
-        accumulators directly: the accumulators are folded into the
-        unified metrics registry once, and each payload is a *view* over
-        the resulting ``repro.metrics/1`` snapshot — so the snapshot and
-        the legacy shapes can never disagree.
-        """
-        summarize = getattr(self.tracer, "summary", None)
-        if summarize is None:
-            return {}
-        summary = summarize()
-        stages = merge_stage_dicts({}, self._engine.metrics.as_dict())
-        merge_stage_dicts(stages, self._lite_engine.metrics.as_dict())
-        cache_stats = self.cache.stats()
-        kernel_stats = self.simulator.kernel_stats()
-        populate_registry(
-            self.metrics,
-            stats=self.stats,
-            solver_stages=stages,
-            cache=cache_stats,
-            kernel=kernel_stats,
-            solverc=self._solverc_stats(),
-            tree_nodes=len(self.tree),
-            dedup_links=self.tree.dedup_links,
-            verdict_skips=self.stats["verdict_skips"],
-            unique_states=self.tree.unique_states(),
+    def _metrics_snapshot(self) -> Dict[str, object]:
+        """Fold the run's totals into the registry and snapshot it (once)."""
+        record_totals(
+            self.metrics, self.stats, cache=self.cache.stats(), tree=self.tree
         )
-        snapshot = self.metrics.snapshot()
-        counters = dict(summary["counters"])
-        counters.update(cache_stats)
-        counters["dedup_links"] = self.tree.dedup_links
-        kernel = kernel_view(snapshot)
-        if kernel_stats is not None:
-            # A label list, not a metric: carried alongside the view.
-            kernel["fallback_classes"] = list(
-                kernel_stats.get("fallback_classes") or []
-            )
-        data: Dict[str, object] = {
-            "schema": TRACE_SCHEMA,
-            "phase_totals": summary["phase_totals"],
-            "solver_stages": solver_stages_view(snapshot),
-            "tree_growth": summary["series"].get("tree_nodes", []),
-            "solver_targets": summary["targets"],
-            "counters": counters,
-            "cache": cache_view(snapshot),
-            "kernel": kernel,
-            "solverc": solverc_view(snapshot),
-        }
-        if self.config.metrics:
-            data["metrics"] = snapshot
-        return data
-
-    def _solverc_stats(self) -> Dict[str, object]:
-        """Solver-kernel counters over both engines plus the compiler."""
-        if self._compiler is None:
-            return {"enabled": False}
-        merged = SolvercStats()
-        merged.merge(self._engine.solverc)
-        merged.merge(self._lite_engine.solverc)
-        merged.merge(self._compiler.stats)
-        return {"enabled": True, **merged.as_dict()}
+        return self.metrics.snapshot()
 
     # ------------------------------------------------------------------
     # Algorithm 1: state-aware solving
@@ -524,7 +467,6 @@ class StcgGenerator:
         if counts_failure is None:
             return False
         self.stats["verdict_skips"] += 1
-        self._engine.metrics.note_skip("verdict")
         if objective is not None and self.ledger.enabled:
             self.ledger.skip(objective, "verdict")
         if counts_failure:

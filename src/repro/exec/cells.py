@@ -49,7 +49,7 @@ class CellSpec:
     seed: int
     budget_s: float
     sldv_max_depth: int = 6
-    #: Deep tracing (``repro.trace/1``) for this cell's generator.
+    #: Deep tracing (``repro.trace/2``) for this cell's generator.
     trace: bool = False
     #: Objective-level coverage provenance (``repro.provenance/1``) for
     #: this cell's generator.  Observation only.

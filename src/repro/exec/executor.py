@@ -49,13 +49,7 @@ from repro.exec.heartbeat import (
 from repro.fuzz.engine import FuzzGenerator, HybridGenerator
 from repro.models.registry import BenchmarkModel
 from repro.obs.probe import PROBE
-from repro.provenance import PROVENANCE_SCHEMA
-from repro.telemetry.events import (
-    EventLog,
-    emit_trace_events,
-    fuzz_stats_payload,
-    store_stats_payload,
-)
+from repro.telemetry.events import EventLog, emit_result_events
 
 #: The paper's three tools, in rendering order.
 TOOLS = ("SLDV", "SimCoTest", "STCG")
@@ -535,43 +529,10 @@ def _notify(
                 f"C={result.condition:.0%} M={result.mcdc:.0%}"
             )
         if events is not None:
-            events.emit(
-                "cell_finished",
-                **spec.identity(),
-                duration_s=round(payload.duration_s, 6),
-                decision=result.decision,
-                condition=result.condition,
-                mcdc=result.mcdc,
-                cases=len(result.suite),
-                stats=dict(result.stats),
+            emit_result_events(
+                events, "cell_finished", spec.identity(), result,
+                payload.duration_s,
             )
-            for point in result.timeline:
-                events.emit(
-                    "timeline_point",
-                    cell=spec.index,
-                    t=round(point.t, 6),
-                    decision=point.decision_coverage,
-                    origin=point.origin,
-                    new_branches=point.new_branches,
-                )
-            emit_trace_events(events, spec.identity(), result.trace_data)
-            if "fuzz_executions" in result.stats:
-                events.emit(
-                    "fuzz_stats", **spec.identity(), **fuzz_stats_payload(result.stats)
-                )
-            if "store_reads" in result.stats:
-                events.emit(
-                    "store_stats",
-                    **spec.identity(),
-                    **store_stats_payload(result.stats),
-                )
-            if result.provenance:
-                events.emit(
-                    "provenance",
-                    **spec.identity(),
-                    schema=PROVENANCE_SCHEMA,
-                    provenance=result.provenance,
-                )
     else:
         if progress is not None:
             progress(f"{spec.label}: FAILED ({payload.kind}: {payload.message})")

@@ -34,6 +34,7 @@ from repro.fuzz.corpus import Corpus
 from repro.fuzz.mutators import SequenceMutator
 from repro.model.graph import CompiledModel
 from repro.model.inputs import piecewise_constant_sequence, random_sequence
+from repro.obs.tracer import trace_aggregates
 from repro.provenance import (
     NULL_LEDGER,
     ProvenanceLedger,
@@ -411,7 +412,8 @@ class FuzzGenerator:
             suite=host.suite,
             timeline=list(host.timeline),
             stats={**host.stats, "tree_nodes": len(host.tree)},
-            trace_data=host._trace_data(),
+            trace_data=trace_aggregates(host.tracer),
+            metrics=host._metrics_snapshot(),
             provenance=host.ledger.snapshot(),
         )
 
@@ -489,7 +491,8 @@ class HybridGenerator:
             suite=host.suite,
             timeline=list(host.timeline),
             stats={**host.stats, "tree_nodes": len(host.tree)},
-            trace_data=host._trace_data(),
+            trace_data=trace_aggregates(host.tracer),
+            metrics=host._metrics_snapshot(),
             provenance=host.ledger.snapshot(),
         )
 

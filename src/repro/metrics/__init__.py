@@ -1,25 +1,22 @@
 """Unified experiment metrics: a deterministic, schema-stable registry.
 
-The registry (:class:`MetricsRegistry`) is the single namespace the
-formerly ad-hoc subsystem counter bundles — solver stages, solve caches,
-sim kernel, solver kernel — now live in.  Snapshots are JSON documents
-tagged ``repro.metrics/1``; :func:`merge_snapshots` folds per-worker
-registries together commutatively so workers=1 and workers=N aggregate
-identically, and :func:`delta_snapshots` supports before/after analysis.
-The old telemetry event kinds (``solver_stages``, ``cache_stats``,
-``kernel_stats``, ``solverc_stats``) are derived as *views* over
-snapshots by :mod:`repro.metrics.instruments`.
+The registry (:class:`MetricsRegistry`) is the one counter store: the
+solver engines, the constraint compiler and the simulator increment its
+instruments at the call site, and every generator attaches its snapshot
+to the result (``GenerationResult.metrics``), traced or not.  Snapshots
+are JSON documents tagged ``repro.metrics/1``; :func:`merge_snapshots`
+folds per-worker registries together commutatively so workers=1 and
+workers=N aggregate identically, and :func:`delta_snapshots` supports
+before/after analysis.  Instrument names are listed in
+:mod:`repro.metrics.instruments`.
 """
 
 from repro.metrics.instruments import (
     CASE_LENGTH_BOUNDS,
     FUZZ_COUNTERS,
-    cache_view,
+    SOLVERC_COUNTERS,
     declare_instruments,
-    kernel_view,
-    populate_registry,
-    solver_stages_view,
-    solverc_view,
+    record_totals,
 )
 from repro.metrics.registry import (
     Counter,
@@ -43,14 +40,11 @@ __all__ = [
     "Histogram",
     "METRICS_SCHEMA",
     "MetricsRegistry",
-    "cache_view",
+    "SOLVERC_COUNTERS",
     "declare_instruments",
     "delta_snapshots",
     "empty_snapshot",
     "fold_snapshots",
-    "kernel_view",
     "merge_snapshots",
-    "populate_registry",
-    "solver_stages_view",
-    "solverc_view",
+    "record_totals",
 ]

@@ -1,46 +1,42 @@
-"""Canonical instrument names + views mapping snapshots onto legacy shapes.
+"""Canonical instrument names: the one counter store's namespace.
 
-PRs 2-6 each grew an ad-hoc counter bundle: per-stage
-:class:`~repro.obs.stages.SolverStageMetrics`, the solve-cache counters
-(:data:`~repro.obs.stages.CACHE_COUNTERS`), the sim-kernel specialization
-stats and the solver-kernel :class:`~repro.solverc.compiler.SolvercStats`.
-This module is where those four shapes meet one namespace:
+Every counter the reproduction reports lives in the run's
+:class:`~repro.metrics.registry.MetricsRegistry`, under these families:
 
-* ``stcg.*``     — the generator's own counters (``stats`` dict) plus the
-  ``stcg.case_length`` histogram over synthesized test cases;
-* ``solver.stage.<stage>.*`` — attempts/finished/wins counters and a
-  ``seconds`` sum-gauge per canonical pipeline stage;
-* ``cache.*``    — the solve-cache counters, verdict skips, dedup links
-  (counters) and ``cache.unique_states`` (max-gauge);
-* ``kernel.*`` / ``solverc.*`` — compiled-vs-fallback traffic, with an
-  ``enabled`` max-gauge (0/1) per kernel.
+* ``stcg.*``     — the generator's own ``stats`` counters (any tool),
+  mirrored once at the end of the run, plus the ``stcg.case_length``
+  histogram over synthesized test cases;
+* ``solver.stage.<stage>.*`` — attempts/finished/wins counters per
+  canonical pipeline stage, incremented live by the solver engines (see
+  :func:`repro.obs.stages.stage_recorder`), and a ``seconds`` sum-gauge
+  recorded only while the run is traced;
+* ``solverc.*``  — solver-kernel compiled-vs-fallback traffic,
+  incremented live by the engines and the constraint compiler;
+* ``kernel.*``   — sim-kernel specialization and steps, incremented live
+  by the simulator;
+* ``cache.*``    — the solve-cache counters and state-tree dedup links
+  (counters) and ``cache.unique_states`` (max-gauge), read off the cache
+  and tree at the end of the run;
+* ``fuzz.*``     — fuzz campaign counters (``Fuzz``/``Hybrid`` tools).
 
-:func:`populate_registry` projects one finished run's legacy accumulators
-into a registry; the ``*_view`` functions go the other way, rebuilding the
-exact payload shapes of the pre-registry telemetry kinds
-(``solver_stages``, ``cache_stats``, ``kernel_stats``, ``solverc_stats``)
-from a snapshot — the old event kinds are now *views over the registry*,
-not independently maintained counter sets.
+``kernel.enabled`` / ``solverc.enabled`` are 0/1 max-gauges.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict, Mapping, Optional
 
 from repro.metrics.registry import MetricsRegistry
 from repro.obs.stages import CACHE_COUNTERS, SOLVER_STAGES
-from repro.solverc.compiler import SolvercStats
 
 __all__ = [
     "CASE_LENGTH_BOUNDS",
     "FUZZ_COUNTERS",
+    "SOLVERC_COUNTERS",
+    "STAGE_COUNTER_FIELDS",
     "STAT_COUNTERS",
-    "cache_view",
-    "kernel_view",
-    "populate_registry",
     "declare_instruments",
-    "solver_stages_view",
-    "solverc_view",
+    "record_totals",
 ]
 
 #: Fixed bucket bounds of the ``stcg.case_length`` histogram (steps per
@@ -73,188 +69,98 @@ FUZZ_COUNTERS = (
     "tree_nodes",
 )
 
-#: Per-stage fields kept as counters (``seconds`` is a sum-gauge).
-_STAGE_COUNTER_FIELDS = ("attempts", "finished", "wins")
+#: Solver-kernel (``repro.solverc``) traffic counters, ``solverc.<key>``.
+SOLVERC_COUNTERS = (
+    "constraints_compiled",
+    "contract_compile_fallbacks",
+    "batch_lowered",
+    "batch_fallbacks",
+    "scalar_fallbacks",
+    "contract_compiled",
+    "contract_cached",
+    "contract_interpreted",
+    "candidates_batched",
+    "candidates_scalar",
+    "case_batched",
+    "case_interpreted",
+    "avm_compiled",
+    "avm_interpreted",
+)
+
+#: Per-stage counters, ``solver.stage.<stage>.<field>``.
+STAGE_COUNTER_FIELDS = ("attempts", "finished", "wins")
+
+#: Size/flag gauges every snapshot carries (max-mode, zero until seen).
+_SIZE_GAUGES = (
+    "stcg.tree_nodes",
+    "cache.unique_states",
+    "kernel.enabled",
+    "solverc.enabled",
+    "fuzz.corpus_size",
+)
 
 
-def declare_instruments(registry: MetricsRegistry) -> MetricsRegistry:
+def declare_instruments(
+    registry: MetricsRegistry, *, timed: bool = False
+) -> MetricsRegistry:
     """Declare every canonical instrument up front (schema stability).
 
     A run that never touches a subsystem still snapshots the same key set
-    as one that does — zeros, not absences.
+    as one that does — zeros, not absences.  ``timed`` (traced runs only)
+    adds the ``solver.stage.<stage>.seconds`` wall-clock gauges; untraced
+    snapshots hold nothing that depends on the clock.
     """
     for key in STAT_COUNTERS:
         registry.counter(f"stcg.{key}")
-    registry.gauge("stcg.tree_nodes", mode="max")
     registry.histogram("stcg.case_length", CASE_LENGTH_BOUNDS)
     for stage in SOLVER_STAGES:
-        for field in _STAGE_COUNTER_FIELDS:
+        for field in STAGE_COUNTER_FIELDS:
             registry.counter(f"solver.stage.{stage}.{field}")
-        registry.gauge(f"solver.stage.{stage}.seconds", mode="sum")
+        if timed:
+            registry.gauge(f"solver.stage.{stage}.seconds", mode="sum")
     for key in CACHE_COUNTERS:
         registry.counter(f"cache.{key}")
-    registry.counter("cache.verdict_skips")
     registry.counter("cache.dedup_links")
-    registry.gauge("cache.unique_states", mode="max")
-    registry.gauge("kernel.enabled", mode="max")
-    registry.counter("kernel.specialized_blocks")
-    registry.counter("kernel.fallback_blocks")
-    registry.counter("kernel.steps")
-    registry.gauge("solverc.enabled", mode="max")
-    for key in SolvercStats.KEYS:
+    for key in ("specialized_blocks", "fallback_blocks", "steps"):
+        registry.counter(f"kernel.{key}")
+    for key in SOLVERC_COUNTERS:
         registry.counter(f"solverc.{key}")
     for key in FUZZ_COUNTERS:
         registry.counter(f"fuzz.{key}")
-    registry.gauge("fuzz.corpus_size", mode="max")
+    for name in _SIZE_GAUGES:
+        registry.gauge(name, mode="max").record(0.0)
     return registry
 
 
-def populate_registry(
+def record_totals(
     registry: MetricsRegistry,
+    stats: Mapping[str, object],
     *,
-    stats: Dict[str, int],
-    solver_stages: Dict[str, Dict[str, float]],
-    cache: Dict[str, int],
-    kernel: Optional[Dict[str, object]],
-    solverc: Dict[str, object],
-    tree_nodes: int,
-    dedup_links: int,
-    verdict_skips: int,
-    unique_states: int,
+    cache: Optional[Dict[str, int]] = None,
+    tree=None,
 ) -> MetricsRegistry:
-    """Fold one finished run's legacy accumulators into ``registry``.
+    """Fold a finished run's end-of-run totals into ``registry``.
 
-    The arguments are exactly the shapes the pre-registry code produced
-    (``SolverStageMetrics.as_dict()``, ``SolveCache.stats()``,
-    ``Simulator.kernel_stats()``, ``SolvercStats.as_dict()`` with an
-    ``enabled`` key) — this is the migration seam, not a new format.
+    ``stats`` is the generator's ``stats`` dict (``stcg.*`` and, for fuzz
+    campaigns, the ``fuzz_*`` keys); ``cache`` is
+    :meth:`~repro.cache.solve.SolveCache.stats` and ``tree`` the state
+    tree, for the STCG family.  Call once per run, just before the
+    snapshot: these are totals, not live increments.
     """
-    declare_instruments(registry)
     for key in STAT_COUNTERS:
         registry.counter(f"stcg.{key}").inc(int(stats.get(key, 0)))
-    registry.gauge("stcg.tree_nodes", mode="max").record(float(tree_nodes))
-    for stage, stat in solver_stages.items():
-        for field in _STAGE_COUNTER_FIELDS:
-            registry.counter(f"solver.stage.{stage}.{field}").inc(
-                int(stat.get(field, 0))
-            )
-        registry.gauge(f"solver.stage.{stage}.seconds", mode="sum").record(
-            float(stat.get("seconds", 0.0))
-        )
-    for key in CACHE_COUNTERS:
-        registry.counter(f"cache.{key}").inc(int(cache.get(key, 0)))
-    registry.counter("cache.verdict_skips").inc(int(verdict_skips))
-    registry.counter("cache.dedup_links").inc(int(dedup_links))
-    registry.gauge("cache.unique_states", mode="max").record(
-        float(unique_states)
-    )
-    if kernel is not None:
-        registry.gauge("kernel.enabled", mode="max").record(1.0)
-        registry.counter("kernel.specialized_blocks").inc(
-            int(kernel.get("specialized_blocks", 0))
-        )
-        registry.counter("kernel.fallback_blocks").inc(
-            int(kernel.get("fallback_blocks", 0))
-        )
-        registry.counter("kernel.steps").inc(int(kernel.get("kernel_steps", 0)))
-    else:
-        registry.gauge("kernel.enabled", mode="max").record(0.0)
-    registry.gauge("solverc.enabled", mode="max").record(
-        1.0 if solverc.get("enabled") else 0.0
-    )
-    for key in SolvercStats.KEYS:
-        registry.counter(f"solverc.{key}").inc(int(solverc.get(key, 0)))
-    # Fuzz campaign counters ride along in the same stats dict (the
-    # ``fuzz_*`` keys); absent on pure STCG/baseline runs, where the
-    # declared instruments stay at zero.
     for key in FUZZ_COUNTERS:
         registry.counter(f"fuzz.{key}").inc(int(stats.get(f"fuzz_{key}", 0)))
     registry.gauge("fuzz.corpus_size", mode="max").record(
         float(stats.get("fuzz_corpus_size", 0))
     )
+    if cache is not None:
+        for key in CACHE_COUNTERS:
+            registry.counter(f"cache.{key}").inc(int(cache.get(key, 0)))
+    if tree is not None:
+        registry.gauge("stcg.tree_nodes", mode="max").record(float(len(tree)))
+        registry.counter("cache.dedup_links").inc(tree.dedup_links)
+        registry.gauge("cache.unique_states", mode="max").record(
+            float(tree.unique_states())
+        )
     return registry
-
-
-# ----------------------------------------------------------------------
-# views: snapshot -> legacy telemetry payload shapes
-# ----------------------------------------------------------------------
-
-
-def solver_stages_view(
-    snapshot: Dict[str, object]
-) -> Dict[str, Dict[str, float]]:
-    """The legacy ``solver_stages`` event payload: per-stage stat dicts.
-
-    Stages with all-zero counters are omitted, matching
-    ``SolverStageMetrics.as_dict()`` (which only lists stages that ran);
-    pipeline order is preserved.
-    """
-    counters = snapshot.get("counters") or {}
-    gauges = snapshot.get("gauges") or {}
-    # Stage names come from the snapshot itself (any counter named
-    # ``solver.stage.<stage>.<field>``), not just the canonical list, so
-    # a non-canonical stage tag survives the registry round-trip.
-    named = set()
-    for key in counters:
-        if key.startswith("solver.stage.") and key.count(".") >= 3:
-            named.add(key[len("solver.stage."):].rsplit(".", 1)[0])
-    ordered = [s for s in SOLVER_STAGES if s in named]
-    ordered += [s for s in sorted(named) if s not in SOLVER_STAGES]
-    stages: Dict[str, Dict[str, float]] = {}
-    for stage in ordered:
-        stat = {
-            field: int(counters.get(f"solver.stage.{stage}.{field}", 0))
-            for field in _STAGE_COUNTER_FIELDS
-        }
-        seconds = (gauges.get(f"solver.stage.{stage}.seconds") or {}).get(
-            "value"
-        )
-        stat["seconds"] = round(float(seconds or 0.0), 6)
-        if any(stat.values()):
-            stages[stage] = stat
-    return stages
-
-
-def cache_view(snapshot: Dict[str, object]) -> Dict[str, int]:
-    """The legacy ``cache_stats`` payload (plus ``unique_states``)."""
-    counters = snapshot.get("counters") or {}
-    gauges = snapshot.get("gauges") or {}
-    view = {key: int(counters.get(f"cache.{key}", 0))
-            for key in CACHE_COUNTERS}
-    view["verdict_skips"] = int(counters.get("cache.verdict_skips", 0))
-    view["dedup_links"] = int(counters.get("cache.dedup_links", 0))
-    unique = (gauges.get("cache.unique_states") or {}).get("value")
-    view["unique_states"] = int(unique or 0)
-    return view
-
-
-def kernel_view(snapshot: Dict[str, object]) -> Dict[str, object]:
-    """The legacy ``kernel_stats`` payload (minus ``fallback_classes``,
-    which is a label list, not a metric — callers carry it separately)."""
-    counters = snapshot.get("counters") or {}
-    gauges = snapshot.get("gauges") or {}
-    enabled = bool((gauges.get("kernel.enabled") or {}).get("value"))
-    view: Dict[str, object] = {"enabled": enabled}
-    if enabled:
-        view["specialized_blocks"] = int(
-            counters.get("kernel.specialized_blocks", 0)
-        )
-        view["fallback_blocks"] = int(
-            counters.get("kernel.fallback_blocks", 0)
-        )
-        view["kernel_steps"] = int(counters.get("kernel.steps", 0))
-    return view
-
-
-def solverc_view(snapshot: Dict[str, object]) -> Dict[str, object]:
-    """The legacy ``solverc_stats`` payload."""
-    counters = snapshot.get("counters") or {}
-    gauges = snapshot.get("gauges") or {}
-    enabled = bool((gauges.get("solverc.enabled") or {}).get("value"))
-    view: Dict[str, object] = {"enabled": enabled}
-    if enabled:
-        view.update({
-            key: int(counters.get(f"solverc.{key}", 0))
-            for key in SolvercStats.KEYS
-        })
-    return view

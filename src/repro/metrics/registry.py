@@ -151,9 +151,9 @@ class MetricsRegistry:
     # -- declaration / lookup ------------------------------------------
 
     def counter(self, name: str) -> Counter:
-        self._check_name(name, "counter")
         instrument = self._counters.get(name)
         if instrument is None:
+            self._check_name(name, "counter")
             instrument = self._counters[name] = Counter(name)
         return instrument
 

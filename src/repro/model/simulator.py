@@ -9,7 +9,9 @@ By default steps run through the compiled plan kernel
 (:mod:`repro.kernel`): per-block closures over pre-resolved input slots
 and reused buffers, observably equivalent to the generic interpreter.
 ``kernel=False`` forces the interpreter (the reference semantics, and the
-baseline the equivalence suite compares against).
+baseline the equivalence suite compares against).  The ``kernel.*``
+instruments of the run's metrics registry count the kernel's
+specialization and every step it runs.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from repro.errors import SimulationError, StateError
 from repro.coverage.collector import CoverageCollector
 from repro.expr.types import Type, coerce_value
 from repro.kernel.plan import CompiledKernel
+from repro.metrics import MetricsRegistry
 from repro.model.context import StepContext, concrete_context
 from repro.model.executor import execute_step
 from repro.model.graph import CompiledModel
@@ -88,6 +91,7 @@ class Simulator:
         collector: Optional[CoverageCollector] = None,
         tracer: Tracer = NULL_TRACER,
         kernel: bool = True,
+        registry: Optional[MetricsRegistry] = None,
     ):
         self.compiled = compiled
         self.collector = collector
@@ -102,12 +106,23 @@ class Simulator:
         self._coercers: Tuple[Tuple[str, Callable], ...] = tuple(
             (spec.name, _input_coercer(spec.ty)) for spec in compiled.inports
         )
-        self._kernel: Optional[CompiledKernel] = (
+        #: The compiled plan kernel, or None on the interpreter path.
+        self.kernel: Optional[CompiledKernel] = (
             CompiledKernel(compiled) if kernel else None
         )
+        #: Where the ``kernel.*`` counters land (private when not given).
+        self.registry = registry if registry is not None else MetricsRegistry()
+        self._kernel_steps = self.registry.counter("kernel.steps")
+        if self.kernel is not None:
+            self.registry.gauge("kernel.enabled", mode="max").record(1.0)
+            self.registry.counter("kernel.specialized_blocks").inc(
+                self.kernel.n_specialized
+            )
+            self.registry.counter("kernel.fallback_blocks").inc(
+                self.kernel.n_fallback
+            )
         #: Reusable step context (kernel path only; reset every step).
         self._ctx: Optional[StepContext] = None
-        self._kernel_steps = 0
         #: Outport values of the last interpreter step (kernel-off path).
         self._outputs: Dict[str, object] = {}
 
@@ -138,19 +153,9 @@ class Simulator:
     def time_index(self) -> int:
         return self._time
 
-    # -- kernel introspection ----------------------------------------------------
-
     @property
     def kernel_enabled(self) -> bool:
-        return self._kernel is not None
-
-    def kernel_stats(self) -> Optional[Dict[str, object]]:
-        """Specialization counts + steps run through the kernel (or None)."""
-        if self._kernel is None:
-            return None
-        stats = self._kernel.stats()
-        stats["kernel_steps"] = self._kernel_steps
-        return stats
+        return self.kernel is not None
 
     # -- stepping ----------------------------------------------------------------
 
@@ -166,8 +171,8 @@ class Simulator:
     def _step(self, inputs: Mapping[str, object]) -> StepResult:
         ctx = self._execute(self._prepare_inputs(inputs))
         outputs = (
-            self._kernel.read_outputs()
-            if self._kernel is not None
+            self.kernel.read_outputs()
+            if self.kernel is not None
             else self._outputs  # set by the interpreter branch of _execute
         )
         self._state.update(ctx.next_state)
@@ -247,7 +252,7 @@ class Simulator:
     def _execute(self, prepared: Dict[str, object]) -> StepContext:
         """Run one step on prepared inputs; returns the (possibly reused)
         context carrying coverage events and next-state writes."""
-        kernel = self._kernel
+        kernel = self.kernel
         if kernel is not None:
             ctx = self._ctx
             if ctx is None:
@@ -257,7 +262,7 @@ class Simulator:
             else:
                 ctx.reset_step(prepared, self._state, self.collector, self._time)
             kernel.run_step(ctx)
-            self._kernel_steps += 1
+            self._kernel_steps.inc()
             return ctx
         ctx = concrete_context(prepared, self._state, self.collector, self._time)
         self._outputs = execute_step(self.compiled, ctx)

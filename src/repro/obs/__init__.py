@@ -1,4 +1,4 @@
-"""Observability: low-overhead tracing, phase profiling, solver-stage metrics.
+"""Observability: low-overhead tracing, phase profiling, solver-stage counts.
 
 The generator loop is instrumented against the :class:`Tracer` protocol.
 The default :data:`NULL_TRACER` makes every hook a no-op (sub-microsecond,
@@ -6,9 +6,11 @@ so tracing costs nothing when disabled); :class:`SpanTracer` records every
 span for tests and debugging; :class:`PhaseProfiler` aggregates spans into
 bounded per-phase totals suitable for long runs.
 
-Aggregates flow into the telemetry event stream as ``repro.trace/1`` event
-kinds (``span``, ``phase_totals``, ``solver_stages``, ``tree_growth``) and
-are rendered by :func:`render_report` (the ``repro report`` subcommand).
+Traced aggregates flow into the telemetry event stream as
+``repro.trace/2`` event kinds (``span``, ``phase_totals``,
+``tree_growth``); counters live in the run's metrics registry (see
+:mod:`repro.metrics`).  Both are rendered by :func:`render_report` (the
+``repro report`` subcommand).
 """
 
 from repro.obs.tracer import (
@@ -21,9 +23,8 @@ from repro.obs.tracer import (
 )
 from repro.obs.stages import (
     SOLVER_STAGES,
-    SolverStageMetrics,
     canonical_stage,
-    merge_stage_dicts,
+    stage_recorder,
 )
 from repro.obs.report import render_report, trace_phase_totals
 
@@ -32,12 +33,11 @@ __all__ = [
     "NullTracer",
     "PhaseProfiler",
     "SOLVER_STAGES",
-    "SolverStageMetrics",
     "Span",
     "SpanTracer",
     "Tracer",
     "canonical_stage",
-    "merge_stage_dicts",
     "render_report",
+    "stage_recorder",
     "trace_phase_totals",
 ]

@@ -1,10 +1,11 @@
-"""Render a ``repro.events/1`` + ``repro.trace/1`` stream as a text report.
+"""Render a ``repro.events/1`` + ``repro.trace/2`` stream as a text report.
 
 The ``repro report`` subcommand reads an events JSONL file (written by
 ``repro generate/compare/table3/fig4 --events-out ... [--trace]``) and
 prints:
 
 * run summary (cells, failures, wall-clock),
+* the folded ``repro.metrics/1`` counters,
 * per-cell phase-time breakdown (where the generator's time went),
 * solver-stage win rates (which pipeline stage actually closes targets),
 * solve-cache traffic (encoding hits/misses/evictions, verdict skips),
@@ -15,11 +16,12 @@ prints:
 * coverage-vs-time curves (from the ``timeline_point`` events),
 * the top-N slowest solver targets.
 
-Everything degrades gracefully: an untraced stream still renders the
-summary and coverage sections, and every section whose event kind is
-absent prints an explicit ``(no events of kind <kind> ...)`` line rather
-than a zero-filled table, so a reader can tell "not recorded" from
-"recorded as zero".
+The counter sections (stages, cache, kernels) read the per-cell
+``metrics`` snapshots every run emits; phase times, tree growth and
+targets need a traced run.  Everything degrades gracefully: every
+section whose event kind is absent prints an explicit ``(no events of
+kind <kind> ...)`` line rather than a zero-filled table, so a reader can
+tell "not recorded" from "recorded as zero".
 """
 
 from __future__ import annotations
@@ -66,7 +68,7 @@ def _cell_label(key: Tuple) -> str:
 
 
 def trace_missing_kinds(events) -> List[str]:
-    """The ``repro.trace/1`` kinds with no events in the stream.
+    """The ``repro.trace/2`` kinds with no events in the stream.
 
     Ordered like :data:`~repro.telemetry.events.TRACE_KINDS` so error
     messages are stable.  ``repro report --require-trace`` uses this to
@@ -146,20 +148,38 @@ def _section_summary(events) -> List[str]:
     return lines
 
 
+def _snapshots(events) -> List[Tuple[Tuple, Dict[str, object]]]:
+    """``(cell key, metrics snapshot)`` per ``metrics`` event."""
+    return [
+        (_cell_key(event), event.get("snapshot") or {})
+        for event in _of_kind(events, "metrics")
+    ]
+
+
+def _counter(snapshot: Dict[str, object], name: str) -> int:
+    return int((snapshot.get("counters") or {}).get(name, 0))
+
+
+def _gauge(snapshot: Dict[str, object], name: str) -> Optional[float]:
+    value = ((snapshot.get("gauges") or {}).get(name) or {}).get("value")
+    return None if value is None else float(value)
+
+
+_NO_METRICS = "  (no events of kind metrics in this stream)"
+
+
 def _section_metrics(events) -> List[str]:
     lines = ["unified metrics (repro.metrics/1)",
              "---------------------------------"]
-    metric_events = _of_kind(events, "metrics")
-    if not metric_events:
-        lines += ["  (no events of kind metrics — re-run with --trace)", ""]
-        return lines
+    snapshots = _snapshots(events)
+    if not snapshots:
+        return lines + [_NO_METRICS, ""]
     from repro.metrics import empty_snapshot, fold_snapshots
 
     folded = fold_snapshots([
-        (_cell_key(event), event.get("snapshot") or empty_snapshot())
-        for event in metric_events
+        (key, snapshot or empty_snapshot()) for key, snapshot in snapshots
     ])
-    lines.append(f"  (folded over {len(metric_events)} cell snapshot(s))")
+    lines.append(f"  (folded over {len(snapshots)} cell snapshot(s))")
     counters = folded.get("counters") or {}
     nonzero = {k: v for k, v in counters.items() if v}
     for name in sorted(nonzero):
@@ -178,7 +198,7 @@ def _section_metrics(events) -> List[str]:
 
 
 def _section_phases(events) -> List[str]:
-    lines = ["phase-time breakdown (repro.trace/1)",
+    lines = ["phase-time breakdown (repro.trace/2)",
              "------------------------------------"]
     phase_events = _of_kind(events, "phase_totals")
     if not phase_events:
@@ -215,16 +235,29 @@ def _section_phases(events) -> List[str]:
 
 def _section_stages(events) -> List[str]:
     lines = ["solver-stage win rates", "----------------------"]
-    stage_events = _of_kind(events, "solver_stages")
-    merged: Dict[str, Dict[str, float]] = {}
-    from repro.obs.stages import SOLVER_STAGES, merge_stage_dicts
+    from repro.metrics.instruments import STAGE_COUNTER_FIELDS as fields
+    from repro.obs.stages import SOLVER_STAGES
 
-    for event in stage_events:
-        merge_stage_dicts(merged, event.get("stages") or {})
+    snapshots = _snapshots(events)
+    if not snapshots:
+        return lines + [_NO_METRICS, ""]
+    # stage -> [attempts, finished, wins, seconds or None]
+    merged: Dict[str, list] = {}
+    for _, snapshot in snapshots:
+        for name, value in (snapshot.get("counters") or {}).items():
+            if not name.startswith("solver.stage."):
+                continue
+            stage, field = name[len("solver.stage."):].rsplit(".", 1)
+            if field in fields:
+                stat = merged.setdefault(stage, [0, 0, 0, None])
+                stat[fields.index(field)] += int(value)
+        for stage, stat in merged.items():
+            seconds = _gauge(snapshot, f"solver.stage.{stage}.seconds")
+            if seconds is not None:
+                stat[3] = (stat[3] or 0.0) + seconds
+    merged = {stage: stat for stage, stat in merged.items() if any(stat[:3])}
     if not merged:
-        lines += ["  (no events of kind solver_stages — re-run with --trace)",
-                  ""]
-        return lines
+        return lines + ["  (no solver calls recorded)", ""]
     lines.append(
         f"  {'stage':<10s} {'attempts':>8s} {'finished':>8s} "
         f"{'wins':>6s} {'win%':>6s} {'seconds':>9s}"
@@ -232,14 +265,12 @@ def _section_stages(events) -> List[str]:
     ordered = [s for s in SOLVER_STAGES if s in merged]
     ordered += [s for s in sorted(merged) if s not in SOLVER_STAGES]
     for stage in ordered:
-        stat = merged[stage]
-        finished = int(stat.get("finished", 0))
-        wins = int(stat.get("wins", 0))
+        attempts, finished, wins, seconds = merged[stage]
         rate = (wins / finished * 100.0) if finished else 0.0
+        timed = f"{seconds:>8.3f}s" if seconds is not None else f"{'-':>9s}"
         lines.append(
-            f"  {stage:<10s} {int(stat.get('attempts', 0)):>8d} "
-            f"{finished:>8d} {wins:>6d} {rate:>5.1f}% "
-            f"{float(stat.get('seconds', 0.0)):>8.3f}s"
+            f"  {stage:<10s} {attempts:>8d} {finished:>8d} {wins:>6d} "
+            f"{rate:>5.1f}% {timed}"
         )
     lines.append("")
     return lines
@@ -247,25 +278,23 @@ def _section_stages(events) -> List[str]:
 
 def _section_cache(events) -> List[str]:
     lines = ["solve-cache traffic", "-------------------"]
-    cache_events = _of_kind(events, "cache_stats")
-    if not cache_events:
-        lines += ["  (no events of kind cache_stats — re-run with --trace)",
-                  ""]
-        return lines
+    snapshots = _snapshots(events)
+    if not snapshots:
+        return lines + [_NO_METRICS, ""]
     lines.append(
         f"  {'cell':<28s} {'enc hit':>8s} {'enc miss':>8s} "
         f"{'evict':>6s} {'hit%':>6s} {'vskips':>7s} {'dedup':>6s}"
     )
-    for event in cache_events:
-        hits = int(event.get("encoding_hits", 0))
-        misses = int(event.get("encoding_misses", 0))
+    for key, snapshot in snapshots:
+        hits = _counter(snapshot, "cache.encoding_hits")
+        misses = _counter(snapshot, "cache.encoding_misses")
         lookups = hits + misses
         rate = (hits / lookups * 100.0) if lookups else 0.0
         lines.append(
-            f"  {_cell_label(_cell_key(event)):<28s} {hits:>8d} "
-            f"{misses:>8d} {int(event.get('encoding_evictions', 0)):>6d} "
-            f"{rate:>5.1f}% {int(event.get('verdict_skips', 0)):>7d} "
-            f"{int(event.get('dedup_links', 0)):>6d}"
+            f"  {_cell_label(key):<28s} {hits:>8d} {misses:>8d} "
+            f"{_counter(snapshot, 'cache.encoding_evictions'):>6d} "
+            f"{rate:>5.1f}% {_counter(snapshot, 'stcg.verdict_skips'):>7d} "
+            f"{_counter(snapshot, 'cache.dedup_links'):>6d}"
         )
     lines.append("")
     return lines
@@ -273,66 +302,53 @@ def _section_cache(events) -> List[str]:
 
 def _section_kernel(events) -> List[str]:
     lines = ["simulation kernel", "-----------------"]
-    kernel_events = _of_kind(events, "kernel_stats")
-    if not kernel_events:
-        lines += ["  (no events of kind kernel_stats — STCG cells only, "
-                  "with --trace)", ""]
-        return lines
+    snapshots = _snapshots(events)
+    if not snapshots:
+        return lines + [_NO_METRICS, ""]
     lines.append(
         f"  {'cell':<28s} {'state':>8s} {'special':>8s} "
         f"{'fallback':>8s} {'steps':>9s}"
     )
-    for event in kernel_events:
-        enabled = bool(event.get("enabled"))
+    for key, snapshot in snapshots:
+        enabled = bool(_gauge(snapshot, "kernel.enabled"))
         lines.append(
-            f"  {_cell_label(_cell_key(event)):<28s} "
+            f"  {_cell_label(key):<28s} "
             f"{'on' if enabled else 'off':>8s} "
-            f"{int(event.get('specialized_blocks', 0)):>8d} "
-            f"{int(event.get('fallback_blocks', 0)):>8d} "
-            f"{int(event.get('kernel_steps', 0)):>9d}"
+            f"{_counter(snapshot, 'kernel.specialized_blocks'):>8d} "
+            f"{_counter(snapshot, 'kernel.fallback_blocks'):>8d} "
+            f"{_counter(snapshot, 'kernel.steps'):>9d}"
         )
-        fallback_classes = event.get("fallback_classes") or []
-        if fallback_classes:
-            lines.append(
-                "    fallback classes: " + ", ".join(map(str, fallback_classes))
-            )
     lines.append("")
     return lines
 
 
 def _section_solverc(events) -> List[str]:
     lines = ["solver kernel", "-------------"]
-    solverc_events = _of_kind(events, "solverc_stats")
-    if not solverc_events:
-        lines += ["  (no events of kind solverc_stats — STCG cells only, "
-                  "with --trace)", ""]
-        return lines
+    snapshots = _snapshots(events)
+    if not snapshots:
+        return lines + [_NO_METRICS, ""]
     lines.append(
         f"  {'cell':<28s} {'state':>8s} {'compiled':>8s} "
         f"{'batched':>8s} {'scalar':>7s} {'cached':>7s}"
     )
-    for event in solverc_events:
-        enabled = bool(event.get("enabled"))
-        batched = (
-            int(event.get("candidates_batched", 0))
-            + int(event.get("case_batched", 0))
-        )
-        scalar = (
-            int(event.get("candidates_scalar", 0))
-            + int(event.get("case_interpreted", 0))
-        )
+    for key, snapshot in snapshots:
+        def count(name: str) -> int:
+            return _counter(snapshot, f"solverc.{name}")
+
+        enabled = bool(_gauge(snapshot, "solverc.enabled"))
+        batched = count("candidates_batched") + count("case_batched")
+        scalar = count("candidates_scalar") + count("case_interpreted")
         lines.append(
-            f"  {_cell_label(_cell_key(event)):<28s} "
+            f"  {_cell_label(key):<28s} "
             f"{'on' if enabled else 'off':>8s} "
-            f"{int(event.get('constraints_compiled', 0)):>8d} "
-            f"{batched:>8d} {scalar:>7d} "
-            f"{int(event.get('contract_cached', 0)):>7d}"
+            f"{count('constraints_compiled'):>8d} "
+            f"{batched:>8d} {scalar:>7d} {count('contract_cached'):>7d}"
         )
         fallbacks = {
-            name: int(event.get(name, 0))
+            name: count(name)
             for name in ("contract_compile_fallbacks", "batch_fallbacks",
                          "scalar_fallbacks")
-            if int(event.get(name, 0))
+            if count(name)
         }
         if fallbacks:
             lines.append(

@@ -29,8 +29,13 @@ __all__ = [
     "PhaseProfiler",
     "Span",
     "SpanTracer",
+    "TRACE_SCHEMA",
     "Tracer",
+    "trace_aggregates",
 ]
+
+#: Schema tag of a traced run's aggregates and of their telemetry events.
+TRACE_SCHEMA = "repro.trace/2"
 
 
 @dataclass
@@ -273,4 +278,24 @@ def _summary(tracer) -> Dict[str, object]:
             name: [[round(t, 6), value] for t, value in points]
             for name, points in tracer.series.items()
         },
+    }
+
+
+def trace_aggregates(tracer) -> Dict[str, object]:
+    """A traced run's ``repro.trace/2`` aggregates (``{}`` when untraced).
+
+    Phase totals, tracer counters, state-tree growth and the slowest
+    solver targets — timing only; counters of the run's subsystems live in
+    its metrics snapshot.
+    """
+    summarize = getattr(tracer, "summary", None)
+    if summarize is None:
+        return {}
+    summary = summarize()
+    return {
+        "schema": TRACE_SCHEMA,
+        "phase_totals": summary["phase_totals"],
+        "tree_growth": summary["series"].get("tree_nodes", []),
+        "solver_targets": summary["targets"],
+        "counters": summary["counters"],
     }

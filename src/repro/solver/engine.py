@@ -18,17 +18,18 @@ import numpy as np
 
 from repro.errors import SolverError
 from repro.expr.ast import Const, Expr, Var
-from repro.obs.stages import SolverStageMetrics, canonical_stage
 from repro.expr.distance import DistanceEvaluator
 from repro.expr.evaluator import evaluate
 from repro.expr.nnf import to_nnf
 from repro.expr.types import BOOL, INT
+from repro.metrics import MetricsRegistry
+from repro.obs.stages import canonical_stage, stage_recorder
 from repro.solver.avm import AvmSearch
 from repro.solver.box import Box
 from repro.solver.contractor import Contractor
 from repro.solver.sampler import corner_points, sample_point
 from repro.solver.splitter import split_cases
-from repro.solverc.compiler import CompiledConstraint, SolvercStats
+from repro.solverc.compiler import CompiledConstraint, solverc_counters
 
 
 class Status(enum.Enum):
@@ -85,17 +86,26 @@ class SolveResult:
 
 
 class SolverEngine:
-    """Budgeted constraint solver over the expression IR."""
+    """Budgeted constraint solver over the expression IR.
 
-    def __init__(self, config: Optional[SolverConfig] = None):
+    Every finished call counts into ``registry`` (a private one when none
+    is given): the ``solver.stage.*`` counters, plus compiled-vs-fallback
+    ``solverc.*`` traffic when callers pass ``compiled=`` bundles.
+    ``timed`` also records per-stage wall-clock seconds (traced runs).
+    """
+
+    def __init__(
+        self,
+        config: Optional[SolverConfig] = None,
+        registry: Optional[MetricsRegistry] = None,
+        *,
+        timed: bool = False,
+    ):
         self.config = config or SolverConfig()
         self._rng = random.Random(self.config.seed)
-        #: Lifetime per-stage attempt/win/time accounting (always on; a
-        #: handful of clock reads per call, negligible next to a solve).
-        self.metrics = SolverStageMetrics()
-        #: Compiled-vs-fallback traffic when callers pass ``compiled=``
-        #: bundles (stays all-zero on pure interpreter use).
-        self.solverc = SolvercStats()
+        self.registry = registry if registry is not None else MetricsRegistry()
+        self._record = stage_recorder(self.registry, timed=timed)
+        self._solverc = solverc_counters(self.registry)
 
     def solve(
         self,
@@ -142,7 +152,7 @@ class SolverEngine:
             stats.status = status
             stats.stage = stage
             stats.elapsed_s = time.monotonic() - started
-            self.metrics.record(stats)
+            self._record(stats)
             return SolveResult(status, model, stats)
 
         # Stage 0: constant constraint.
@@ -182,7 +192,7 @@ class SolverEngine:
             best_env, best_dist, hit = _batch_scan(
                 batch, corners, best_env, best_dist
             )
-            self.solverc.note("candidates_batched", len(corners))
+            self._solverc["candidates_batched"].inc(len(corners))
             if hit is not None:
                 stats.samples += hit + 1
                 return finish(
@@ -193,7 +203,7 @@ class SolverEngine:
             stats.samples += len(corners)
         else:
             if compiled is not None:
-                self.solverc.note("candidates_scalar", len(corners))
+                self._solverc["candidates_scalar"].inc(len(corners))
             for candidate in corners:
                 stats.samples += 1
                 d = objective(candidate)
@@ -221,7 +231,7 @@ class SolverEngine:
                 best_env, best_dist, hit = _batch_scan(
                     batch, chunk, best_env, best_dist
                 )
-                self.solverc.note("candidates_batched", chunk_size)
+                self._solverc["candidates_batched"].inc(chunk_size)
                 if hit is not None:
                     rng.setstate(state)
                     for _ in range(hit + 1):
@@ -235,8 +245,8 @@ class SolverEngine:
                 stats.samples += chunk_size
         else:
             if compiled is not None:
-                self.solverc.note(
-                    "candidates_scalar", self.config.max_samples
+                self._solverc["candidates_scalar"].inc(
+                    self.config.max_samples
                 )
             for _ in range(self.config.max_samples):
                 if out_of_time():
@@ -281,12 +291,12 @@ class SolverEngine:
                 all_unsat = False
                 case_batch = entry.batch() if entry is not None else None
                 if case_batch is not None:
-                    self.solverc.note("case_batched")
+                    self._solverc["case_batched"].inc()
                     case_corners = corner_points(case_box)
                     if case_corners:
                         dists = case_batch.evaluate(case_corners)
-                        self.solverc.note(
-                            "candidates_batched", len(case_corners)
+                        self._solverc["candidates_batched"].inc(
+                            len(case_corners)
                         )
                         hit = _first_zero(dists)
                         if hit is not None:
@@ -305,7 +315,7 @@ class SolverEngine:
                         for _ in range(per_case)
                     ]
                     dists = case_batch.evaluate(chunk)
-                    self.solverc.note("candidates_batched", per_case)
+                    self._solverc["candidates_batched"].inc(per_case)
                     hit = _first_zero(dists)
                     if hit is not None:
                         rng.setstate(state)
@@ -322,7 +332,7 @@ class SolverEngine:
                         best_env, best_dist = _batch_best(
                             batch, chunk, best_env, best_dist
                         )
-                        self.solverc.note("candidates_batched", per_case)
+                        self._solverc["candidates_batched"].inc(per_case)
                     else:
                         for candidate in chunk:
                             whole = objective(candidate)
@@ -330,7 +340,7 @@ class SolverEngine:
                                 best_env, best_dist = candidate, whole
                 else:
                     if entry is not None:
-                        self.solverc.note("case_interpreted")
+                        self._solverc["case_interpreted"].inc()
                     case_distance = DistanceEvaluator(to_nnf(case))
                     for candidate in corner_points(case_box):
                         stats.samples += 1
@@ -359,9 +369,9 @@ class SolverEngine:
 
         # Stage 4: AVM from the best point seen so far.
         if compiled is not None:
-            self.solverc.note(
+            self._solverc[
                 "avm_compiled" if scalar is not None else "avm_interpreted"
-            )
+            ].inc()
         search = AvmSearch(
             objective,
             box,
@@ -391,14 +401,14 @@ class SolverEngine:
         if cached is not None:
             feasible, snapshot = cached
             box.restore(snapshot)
-            self.solverc.note("contract_cached")
+            self._solverc["contract_cached"].inc()
             return feasible
         if compiled.contractor is not None:
             feasible = compiled.contractor.contract(box)
-            self.solverc.note("contract_compiled")
+            self._solverc["contract_compiled"].inc()
         else:
             feasible = Contractor(constraint).contract(box)
-            self.solverc.note("contract_interpreted")
+            self._solverc["contract_interpreted"].inc()
         compiled.contract_result = (feasible, box.snapshot())
         return feasible
 

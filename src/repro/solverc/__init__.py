@@ -14,7 +14,7 @@ runs are bit-identical with the kernel on or off (see DESIGN.md,
 from repro.solverc.compiler import (
     CompiledConstraint,
     ConstraintCompiler,
-    SolvercStats,
+    solverc_counters,
 )
 from repro.solverc.tape import NotLowerable
 
@@ -22,5 +22,5 @@ __all__ = [
     "CompiledConstraint",
     "ConstraintCompiler",
     "NotLowerable",
-    "SolvercStats",
+    "solverc_counters",
 ]

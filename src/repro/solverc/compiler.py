@@ -1,4 +1,4 @@
-"""Per-constraint compilation bundles and solver-kernel statistics.
+"""Per-constraint compilation bundles and solver-kernel counters.
 
 :class:`ConstraintCompiler` turns one solver constraint (an
 ``OneStepEncoding`` path or obligation constraint) into a
@@ -25,6 +25,7 @@ from typing import Dict, Iterable, List, Optional
 
 from repro.expr.ast import Expr, Var
 from repro.expr.nnf import to_nnf
+from repro.metrics import SOLVERC_COUNTERS, Counter, MetricsRegistry
 from repro.solver.splitter import split_cases
 from repro.solverc.contractc import CompiledContractor, compile_contractor
 from repro.solverc.distc import (
@@ -39,47 +40,15 @@ __all__ = [
     "CompiledCase",
     "CompiledConstraint",
     "ConstraintCompiler",
-    "SolvercStats",
+    "solverc_counters",
 ]
 
 _UNSET = object()
 
 
-class SolvercStats:
-    """Fixed-key counters of compiled-vs-fallback solver traffic."""
-
-    KEYS = (
-        "constraints_compiled",
-        "contract_compile_fallbacks",
-        "batch_lowered",
-        "batch_fallbacks",
-        "scalar_fallbacks",
-        "contract_compiled",
-        "contract_cached",
-        "contract_interpreted",
-        "candidates_batched",
-        "candidates_scalar",
-        "case_batched",
-        "case_interpreted",
-        "avm_compiled",
-        "avm_interpreted",
-    )
-
-    __slots__ = ("counts",)
-
-    def __init__(self):
-        self.counts: Dict[str, int] = {key: 0 for key in self.KEYS}
-
-    def note(self, key: str, amount: int = 1) -> None:
-        self.counts[key] += amount
-
-    def as_dict(self) -> Dict[str, int]:
-        return dict(self.counts)
-
-    def merge(self, other: "SolvercStats") -> "SolvercStats":
-        for key, value in other.counts.items():
-            self.counts[key] += value
-        return self
+def solverc_counters(registry: MetricsRegistry) -> Dict[str, Counter]:
+    """The ``solverc.<key>`` counters of ``registry``, by key."""
+    return {key: registry.counter(f"solverc.{key}") for key in SOLVERC_COUNTERS}
 
 
 class CompiledCase:
@@ -90,15 +59,17 @@ class CompiledCase:
         "contractor",
         "contract_result",
         "_batch",
-        "_stats",
+        "_counters",
         "_variables",
     )
 
-    def __init__(self, case: Expr, variables: List[Var], stats: SolvercStats):
+    def __init__(
+        self, case: Expr, variables: List[Var], counters: Dict[str, Counter]
+    ):
         self.case = case
         self.contract_result = None
         self._batch = _UNSET
-        self._stats = stats
+        self._counters = counters
         self._variables = variables
         try:
             self.contractor: Optional[CompiledContractor] = (
@@ -106,7 +77,7 @@ class CompiledCase:
             )
         except Exception:
             self.contractor = None
-            stats.note("contract_compile_fallbacks")
+            counters["contract_compile_fallbacks"].inc()
 
     def batch(self) -> Optional[BatchDistance]:
         """The case-distance batch tape, or None when not lowerable."""
@@ -115,10 +86,10 @@ class CompiledCase:
                 self._batch = compile_distance_batch(
                     to_nnf(self.case), self._variables
                 )
-                self._stats.note("batch_lowered")
+                self._counters["batch_lowered"].inc()
             except NotLowerable:
                 self._batch = None
-                self._stats.note("batch_fallbacks")
+                self._counters["batch_fallbacks"].inc()
         return self._batch
 
 
@@ -134,7 +105,7 @@ class CompiledConstraint:
         "_objective",
         "_batch",
         "_cases",
-        "_stats",
+        "_counters",
     )
 
     def __init__(
@@ -142,7 +113,7 @@ class CompiledConstraint:
         constraint: Expr,
         variables: List[Var],
         contractor: Optional[CompiledContractor],
-        stats: SolvercStats,
+        counters: Dict[str, Counter],
     ):
         self.constraint = constraint
         self.variables = variables
@@ -155,7 +126,7 @@ class CompiledConstraint:
         self._objective = _UNSET
         self._batch = _UNSET
         self._cases = _UNSET
-        self._stats = stats
+        self._counters = counters
 
     def nnf(self) -> Expr:
         if self._nnf is _UNSET:
@@ -175,7 +146,7 @@ class CompiledConstraint:
                     self._objective = compile_distance_scalar(self.nnf())
                 else:
                     self._objective = None
-                    self._stats.note("scalar_fallbacks")
+                    self._counters["scalar_fallbacks"].inc()
             except Exception:
                 self._objective = None
         return self._objective
@@ -187,27 +158,35 @@ class CompiledConstraint:
                 self._batch = compile_distance_batch(
                     self.nnf(), self.variables
                 )
-                self._stats.note("batch_lowered")
+                self._counters["batch_lowered"].inc()
             except NotLowerable:
                 self._batch = None
-                self._stats.note("batch_fallbacks")
+                self._counters["batch_fallbacks"].inc()
         return self._batch
 
     def cases(self) -> List[CompiledCase]:
         """Split cases (possibly a single one), compiled on first use."""
         if self._cases is _UNSET:
             self._cases = [
-                CompiledCase(case, self.variables, self._stats)
+                CompiledCase(case, self.variables, self._counters)
                 for case in split_cases(self.nnf())
             ]
         return self._cases
 
 
 class ConstraintCompiler:
-    """Compiles solver constraints; owns the compile-side counters."""
+    """Compiles solver constraints, counting into ``registry``.
 
-    def __init__(self):
-        self.stats = SolvercStats()
+    The compile-side ``solverc.*`` counters — and those of the lazily
+    compiled pieces of every bundle it returns — land in ``registry``
+    (a private one when none is given), and the compiler marks the
+    ``solverc.enabled`` gauge.
+    """
+
+    def __init__(self, registry: Optional[MetricsRegistry] = None):
+        self.registry = registry if registry is not None else MetricsRegistry()
+        self.registry.gauge("solverc.enabled", mode="max").record(1.0)
+        self._counters = solverc_counters(self.registry)
 
     def compile(
         self,
@@ -230,10 +209,10 @@ class ConstraintCompiler:
             try:
                 compiled_contractor = compile_contractor(constraint)
             except Exception:
-                self.stats.note("contract_compile_fallbacks")
-        self.stats.note("constraints_compiled")
+                self._counters["contract_compile_fallbacks"].inc()
+        self._counters["constraints_compiled"].inc()
         return CompiledConstraint(
-            constraint, var_list, compiled_contractor, self.stats
+            constraint, var_list, compiled_contractor, self._counters
         )
 
 

@@ -110,7 +110,7 @@ def config_digest(config) -> str:
     const-false refutation (``counts_failure=False``) is ever recorded —
     replaying one into a run that would have solved the pair instead
     would desynchronize the failure-backoff bookkeeping.  Budgets, seeds
-    and observation flags (trace/metrics/provenance) are excluded: none
+    and observation flags (trace/provenance) are excluded: none
     of them changes the validity of a verdict, a snapshot, or an
     encoding.
     """

@@ -357,7 +357,7 @@ def render_dashboard(
             "Metric counters",
             [[name, value] for name, value in sorted(counters.items())],
             ["Counter", "Value"],
-            "no metrics registry snapshot — traced runs only",
+            "no metrics registry snapshot in this run",
         )
     )
     body.extend(

@@ -78,21 +78,21 @@ def _rate(numerator: float, denominator: float) -> Optional[float]:
     return (numerator / denominator) if denominator else None
 
 
-def cache_hit_rate(manifest: Dict[str, object]) -> Optional[float]:
-    """Solve-cache hit rate: hits over (hits + misses), both LRUs."""
-    cache = manifest.get("cache") or {}
-    hits = int(cache.get("encoding_hits", 0)) + int(
-        cache.get("compiled_hits", 0)
-    )
-    misses = int(cache.get("encoding_misses", 0)) + int(
-        cache.get("compiled_misses", 0)
-    )
-    return _rate(hits, hits + misses)
-
-
 def _counters(manifest: Dict[str, object]) -> Dict[str, int]:
     metrics = manifest.get("metrics") or {}
     return dict(metrics.get("counters") or {})
+
+
+def cache_hit_rate(manifest: Dict[str, object]) -> Optional[float]:
+    """Solve-cache hit rate: hits over (hits + misses), both LRUs."""
+    counters = _counters(manifest)
+    hits = int(counters.get("cache.encoding_hits", 0)) + int(
+        counters.get("cache.compiled_hits", 0)
+    )
+    misses = int(counters.get("cache.encoding_misses", 0)) + int(
+        counters.get("cache.compiled_misses", 0)
+    )
+    return _rate(hits, hits + misses)
 
 
 def kernel_fallback_rate(manifest: Dict[str, object]) -> Optional[float]:

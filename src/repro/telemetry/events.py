@@ -17,13 +17,15 @@ Event schema (``repro.events/1``) — every line is an object with:
 * kind-specific payload fields (model, tool, repetition, seed, coverage
   numbers, solver ``stats``, failure ``kind``/``message``, ...).
 
-Traced runs additionally emit the ``repro.trace/1`` kinds (each tagged
-``schema: repro.trace/1``): ``phase_totals`` (per-cell phase time
-breakdown + counters), ``solver_stages`` (per-stage attempt/win/time),
-``tree_growth`` (state-tree size samples), ``cache_stats`` (solve-cache
-hit/miss/eviction/skip counters), ``kernel_stats`` /``solverc_stats``
-(sim- and solver-kernel compiled-vs-fallback traffic) and ``span``
-(per-target solver time aggregates).  See :func:`emit_trace_events`.
+Every finished run or cell emits one ``metrics`` event carrying its
+``repro.metrics/1`` registry snapshot — the one counter store for
+solver-stage, solver-kernel, sim-kernel, cache and generator counters —
+traced or not; the manifest folds them into its ``metrics`` section.
+Traced runs additionally emit the ``repro.trace/2`` kinds (each tagged
+``schema: repro.trace/2``): ``phase_totals`` (per-cell phase time
+breakdown + tracer counters), ``tree_growth`` (state-tree size samples)
+and ``span`` (per-target solver time aggregates).  See
+:func:`emit_result_events`.
 
 Runs with the provenance ledger on additionally emit one ``provenance``
 event per cell (tagged ``schema: repro.provenance/1``) carrying the
@@ -43,8 +45,8 @@ restore counts); the manifest folds them into a ``store`` section (see
 
 The manifest is a single JSON document derived from the event stream:
 counts, per-(model, tool) coverage aggregates, failures, totals over the
-generators' solver statistics, for traced runs ``phase_seconds`` and
-``solver_stages`` aggregates, and for provenance-bearing runs the merged
+generators' solver statistics, the folded ``metrics`` snapshot, for
+traced runs ``phase_seconds``, and for provenance-bearing runs the merged
 ``provenance`` section consumed by ``repro explain`` / ``repro
 dashboard``.
 """
@@ -57,30 +59,16 @@ import time
 from typing import Dict, IO, List, Optional
 
 from repro.errors import ReproError
-from repro.metrics import empty_snapshot, fold_snapshots
-from repro.obs.stages import CACHE_COUNTERS, merge_stage_dicts
-from repro.provenance import merge_provenance
-from repro.solverc.compiler import SolvercStats
+from repro.metrics import METRICS_SCHEMA, empty_snapshot, fold_snapshots
+from repro.obs.tracer import TRACE_SCHEMA
+from repro.provenance import PROVENANCE_SCHEMA, merge_provenance
 
 #: Version tag embedded in every stream and manifest.
 EVENT_SCHEMA = "repro.events/1"
 MANIFEST_SCHEMA = "repro.run-manifest/1"
-#: Version tag carried by every deep-tracing event.
-TRACE_SCHEMA = "repro.trace/1"
 
 #: The deep-tracing event kinds (all tagged with :data:`TRACE_SCHEMA`).
-#: ``metrics`` carries the per-cell unified ``repro.metrics/1`` registry
-#: snapshot the legacy counter kinds are derived from.
-TRACE_KINDS = (
-    "span",
-    "phase_totals",
-    "solver_stages",
-    "tree_growth",
-    "cache_stats",
-    "kernel_stats",
-    "solverc_stats",
-    "metrics",
-)
+TRACE_KINDS = ("span", "phase_totals", "tree_growth")
 
 #: Solver targets forwarded per traced cell (slowest first); bounds the
 #: number of ``span`` events a cell can contribute.
@@ -98,11 +86,6 @@ _STAT_TOTALS = (
     "const_false_skips",
     "verdict_skips",
 )
-
-#: Counters summed into the manifest's ``cache`` aggregate from
-#: ``cache_stats`` events (the :data:`repro.obs.stages.CACHE_COUNTERS`
-#: names plus the generator-side skip/dedup counters).
-_CACHE_TOTALS = CACHE_COUNTERS + ("verdict_skips", "dedup_links")
 
 #: Deterministic fuzz counters summed into the manifest's ``fuzz``
 #: section from ``Fuzz``/``Hybrid`` cell stats (the ``fuzz_*`` keys).
@@ -334,7 +317,7 @@ def build_manifest(events: List[Dict[str, object]]) -> Dict[str, object]:
                 # Mean of a sorted sum — same addition order as
                 # ToolOutcome (plan order), so the two match exactly.
                 agg[metric] = float(agg[metric]) / int(agg["runs"])
-    # Deep-tracing aggregates (repro.trace/1 events, when present).
+    # Deep-tracing aggregates (repro.trace/2 events, when present).
     phase_seconds: Dict[str, float] = {}
     for event in of_kind("phase_totals"):
         for phase, stat in (event.get("phases") or {}).items():
@@ -346,18 +329,7 @@ def build_manifest(events: List[Dict[str, object]]) -> Dict[str, object]:
         phase: round(seconds, 6)
         for phase, seconds in phase_seconds.items()
     }
-    solver_stages: Dict[str, Dict[str, float]] = {}
-    for event in of_kind("solver_stages"):
-        merge_stage_dicts(solver_stages, event.get("stages") or {})
-    # Solve-cache traffic (cache_stats events, when present).  Like
-    # stat_totals, the key set is fixed so warm and cold runs differ only
-    # in the numbers.
-    cache_totals = {key: 0 for key in _CACHE_TOTALS}
-    for event in of_kind("cache_stats"):
-        for key in _CACHE_TOTALS:
-            if key in event:
-                cache_totals[key] += int(event[key])
-    # The unified per-cell registry snapshots fold into one run-level
+    # The per-cell registry snapshots fold into one run-level
     # snapshot; fold_snapshots re-sorts by the identity key, so this too
     # is independent of arrival order.
     metrics_events = of_kind("metrics")
@@ -411,8 +383,6 @@ def build_manifest(events: List[Dict[str, object]]) -> Dict[str, object]:
         # counts are deterministic given the store's starting contents.
         "store": {"cells": store_cells, **store_totals},
         "phase_seconds": phase_seconds,
-        "solver_stages": solver_stages,
-        "cache": cache_totals,
         "metrics": metrics,
         "provenance": provenance,
         "stalls": stalls,
@@ -426,87 +396,88 @@ def build_manifest(events: List[Dict[str, object]]) -> Dict[str, object]:
     }
 
 
-def emit_trace_events(
+def emit_result_events(
     log: EventLog,
+    kind: str,
     identity: Dict[str, object],
-    trace_data: Dict[str, object],
+    result,
+    duration_s: float,
 ) -> None:
-    """Forward one run's ``trace_data`` aggregates as ``repro.trace/1`` events.
+    """Emit one finished run's events into ``log``.
 
-    ``identity`` carries the cell-identifying fields (model, tool,
-    repetition, ...) stamped onto every emitted event.  No-op when the run
-    was not traced.
+    ``kind`` is the finishing event (``run_finished`` for a single run,
+    ``cell_finished`` for a matrix cell); ``identity`` (model, tool and,
+    for matrix cells, the cell index, repetition and seed) is stamped on
+    every event but the timeline points, which carry only the cell index.
+    After the finishing event come one ``timeline_point`` per test case,
+    the ``metrics`` snapshot, the ``repro.trace/2`` kinds (traced runs
+    only), and ``fuzz_stats`` / ``store_stats`` / ``provenance`` when the
+    result carries them.
     """
-    if not trace_data:
-        return
-    snapshot = trace_data.get("metrics") or {}
-    if snapshot:
-        # The unified registry snapshot; the legacy counter kinds below
-        # are views over exactly this document.
-        log.emit("metrics", **identity, schema=TRACE_SCHEMA, snapshot=snapshot)
     log.emit(
-        "phase_totals",
+        kind,
         **identity,
-        schema=TRACE_SCHEMA,
-        phases=trace_data.get("phase_totals") or {},
-        counters=trace_data.get("counters") or {},
+        duration_s=round(duration_s, 6),
+        decision=result.decision,
+        condition=result.condition,
+        mcdc=result.mcdc,
+        cases=len(result.suite),
+        stats=dict(result.stats),
     )
+    cell = {"cell": identity["cell"]} if "cell" in identity else {}
+    for point in result.timeline:
+        log.emit(
+            "timeline_point",
+            **cell,
+            t=round(point.t, 6),
+            decision=point.decision_coverage,
+            origin=point.origin,
+            new_branches=point.new_branches,
+        )
     log.emit(
-        "solver_stages",
+        "metrics",
         **identity,
-        schema=TRACE_SCHEMA,
-        stages=trace_data.get("solver_stages") or {},
+        schema=METRICS_SCHEMA,
+        snapshot=result.metrics,
     )
-    cache = trace_data.get("cache") or {}
-    if cache:
+    trace = result.trace_data
+    if trace:
         log.emit(
-            "cache_stats",
+            "phase_totals",
             **identity,
             schema=TRACE_SCHEMA,
-            **{key: int(cache.get(key, 0)) for key in _CACHE_TOTALS},
-            unique_states=int(cache.get("unique_states", 0)),
+            phases=trace.get("phase_totals") or {},
+            counters=trace.get("counters") or {},
         )
-    kernel = trace_data.get("kernel") or {}
-    if kernel:
+        growth = trace.get("tree_growth") or []
+        if growth:
+            log.emit(
+                "tree_growth",
+                **identity,
+                schema=TRACE_SCHEMA,
+                points=[[round(float(t), 6), value] for t, value in growth],
+            )
+        for target in (trace.get("solver_targets") or [])[:_MAX_TARGET_SPANS]:
+            log.emit(
+                "span",
+                **identity,
+                schema=TRACE_SCHEMA,
+                name="solve",
+                target=target.get("target"),
+                calls=target.get("calls", 0),
+                seconds=target.get("seconds", 0.0),
+            )
+    stats = result.stats
+    if "fuzz_executions" in stats:
+        log.emit("fuzz_stats", **identity, **fuzz_stats_payload(stats))
+    if "store_reads" in stats:
+        log.emit("store_stats", **identity, **store_stats_payload(stats))
+    if result.provenance:
         log.emit(
-            "kernel_stats",
+            "provenance",
             **identity,
-            schema=TRACE_SCHEMA,
-            enabled=bool(kernel.get("enabled")),
-            specialized_blocks=int(kernel.get("specialized_blocks", 0)),
-            fallback_blocks=int(kernel.get("fallback_blocks", 0)),
-            fallback_classes=list(kernel.get("fallback_classes") or []),
-            kernel_steps=int(kernel.get("kernel_steps", 0)),
-        )
-    solverc = trace_data.get("solverc") or {}
-    if solverc:
-        log.emit(
-            "solverc_stats",
-            **identity,
-            schema=TRACE_SCHEMA,
-            enabled=bool(solverc.get("enabled")),
-            **{
-                key: int(solverc.get(key, 0))
-                for key in SolvercStats.KEYS
-            },
-        )
-    growth = trace_data.get("tree_growth") or []
-    if growth:
-        log.emit(
-            "tree_growth",
-            **identity,
-            schema=TRACE_SCHEMA,
-            points=[[round(float(t), 6), value] for t, value in growth],
-        )
-    for target in (trace_data.get("solver_targets") or [])[:_MAX_TARGET_SPANS]:
-        log.emit(
-            "span",
-            **identity,
-            schema=TRACE_SCHEMA,
-            name="solve",
-            target=target.get("target"),
-            calls=target.get("calls", 0),
-            seconds=target.get("seconds", 0.0),
+            schema=PROVENANCE_SCHEMA,
+            provenance=result.provenance,
         )
 
 

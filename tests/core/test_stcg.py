@@ -5,6 +5,7 @@ import itertools
 
 from repro.core import StcgConfig, StcgGenerator
 from repro.core.result import ORIGIN_RANDOM, ORIGIN_SOLVER
+from repro.obs.stages import SOLVER_STAGES
 
 from tests.conftest import build_queue_model
 
@@ -165,7 +166,7 @@ class TestConfigVariants:
 
 
 class TestDeepTracing:
-    """The repro.trace/1 layer must observe without perturbing."""
+    """The repro.trace/2 layer must observe without perturbing."""
 
     def test_stats_identical_with_tracer_on_and_off(self):
         from tests.conftest import build_queue_model
@@ -181,14 +182,27 @@ class TestDeepTracing:
     def test_trace_data_shape(self, queue_model):
         _, result = run_stcg(queue_model, trace=True)
         data = result.trace_data
-        assert data["schema"] == "repro.trace/1"
+        assert data["schema"] == "repro.trace/2"
         assert "solve_scan" in data["phase_totals"]
         assert "solve" in data["phase_totals"]
-        stages = data["solver_stages"]
-        finished = sum(int(s["finished"]) for s in stages.values())
-        wins = sum(int(s["wins"]) for s in stages.values())
+        # Stage counters live in the metrics snapshot: every solver call
+        # finishes in one stage, every SAT is one stage's win.
+        counters = result.metrics["counters"]
+        finished = sum(
+            counters[f"solver.stage.{stage}.finished"]
+            for stage in SOLVER_STAGES
+        )
+        wins = sum(
+            counters[f"solver.stage.{stage}.wins"] for stage in SOLVER_STAGES
+        )
         assert finished == result.stats["solver_calls"]
         assert wins == result.stats["sat"]
+        # Traced runs also carry per-stage wall-clock seconds.
+        gauges = result.metrics["gauges"]
+        assert all(
+            f"solver.stage.{stage}.seconds" in gauges
+            for stage in SOLVER_STAGES
+        )
         # Tree growth was sampled and reaches the final node count.
         points = data["tree_growth"]
         assert points and int(points[-1][1]) == result.stats["tree_nodes"]

@@ -132,17 +132,17 @@ class TestGeneratorCacheWiring:
     def test_trace_counters_carry_cache_stats(self):
         compiled = build_counter_model()
         generator, result = run(compiled, trace=True)
-        cache_section = result.trace_data["cache"]
-        for key in (
-            "encoding_hits", "encoding_misses", "encoding_evictions",
-            "verdict_hits", "verdict_entries", "verdict_skips",
-            "dedup_links", "unique_states",
-        ):
-            assert key in cache_section
-        assert cache_section["unique_states"] == generator.tree.unique_states()
-        counters = result.trace_data["counters"]
-        assert counters["encoding_misses"] > 0
-        assert counters["dedup_links"] == generator.tree.dedup_links
+        counters = result.metrics["counters"]
+        # The snapshot carries the cache's own counters, verbatim.
+        for key, value in generator.cache.stats().items():
+            assert counters[f"cache.{key}"] == value
+        assert counters["cache.encoding_misses"] > 0
+        assert counters["cache.dedup_links"] == generator.tree.dedup_links
+        assert counters["stcg.verdict_skips"] == result.stats["verdict_skips"]
+        unique = result.metrics["gauges"]["cache.unique_states"]["value"]
+        assert unique == generator.tree.unique_states()
+        # ... and nowhere else: the tracer's counters are its own.
+        assert "encoding_misses" not in result.trace_data["counters"]
 
     def test_dedup_links_occur_on_state_revisits(self):
         compiled = build_queue_model()

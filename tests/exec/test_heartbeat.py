@@ -254,9 +254,9 @@ class TestObservationDoesNotPerturb:
         result = StcgGenerator(compiled, config, clock=lambda: 0.0).run()
         return result.suite.to_text(), dict(result.stats)
 
-    def test_metrics_flag_does_not_change_the_suite(self):
-        on_suite, on_stats = self._run(metrics=True, trace=True)
-        off_suite, off_stats = self._run(metrics=False, trace=True)
+    def test_trace_flag_does_not_change_the_suite(self):
+        on_suite, on_stats = self._run(trace=True)
+        off_suite, off_stats = self._run(trace=False)
         assert on_suite == off_suite
         assert on_stats == off_stats
 

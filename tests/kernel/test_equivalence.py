@@ -63,9 +63,11 @@ def test_registry_models_fully_specialize(model):
     """No registry model should fall back to the interpreter per block —
     every block class it uses has a kernel factory."""
     sim = Simulator(model.build())
-    stats = sim.kernel_stats()
-    assert stats["fallback_blocks"] == 0, stats["fallback_classes"]
-    assert stats["specialized_blocks"] > 0
+    counters = sim.registry.snapshot()["counters"]
+    assert counters["kernel.fallback_blocks"] == 0, (
+        sim.kernel.stats()["fallback_classes"]
+    )
+    assert counters["kernel.specialized_blocks"] > 0
 
 
 class TestSnapshotRestore:
@@ -102,12 +104,20 @@ class TestSnapshotRestore:
 
 class TestKernelStats:
     def test_interpreter_simulator_reports_none(self):
-        sim = Simulator(build_counter_model(), kernel=False)
-        assert sim.kernel_stats() is None
+        compiled = build_counter_model()
+        sim = Simulator(compiled, kernel=False)
+        for inputs in _sequence(compiled, 1, 5):
+            sim.step(inputs)
+        snapshot = sim.registry.snapshot()
+        assert sim.kernel is None
+        assert "kernel.enabled" not in snapshot["gauges"]
+        assert snapshot["counters"] == {"kernel.steps": 0}
 
     def test_kernel_steps_count_executed_steps(self):
         compiled = build_counter_model()
         sim = Simulator(compiled)
         for inputs in _sequence(compiled, 1, 5):
             sim.step(inputs)
-        assert sim.kernel_stats()["kernel_steps"] == 5
+        snapshot = sim.registry.snapshot()
+        assert snapshot["counters"]["kernel.steps"] == 5
+        assert snapshot["gauges"]["kernel.enabled"]["value"] == 1.0

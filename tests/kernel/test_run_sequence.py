@@ -168,9 +168,9 @@ class TestFallbackBlocks:
 
     def test_unregistered_block_runs_through_fallback(self):
         sim = Simulator(self._build())
-        stats = sim.kernel_stats()
-        assert stats["fallback_blocks"] == 1
-        assert stats["fallback_classes"] == ["MovingAccumulator"]
+        counters = sim.registry.snapshot()["counters"]
+        assert counters["kernel.fallback_blocks"] == 1
+        assert sim.kernel.stats()["fallback_classes"] == ["MovingAccumulator"]
 
     def test_fallback_is_bit_identical_to_the_interpreter(self):
         compiled = self._build()

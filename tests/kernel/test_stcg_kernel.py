@@ -83,11 +83,11 @@ class TestKernelTraceData:
             build_counter_model(),
             StcgConfig(budget_s=5.0, seed=1, trace=True),
         ).run()
-        kernel = result.trace_data["kernel"]
-        assert kernel["enabled"] is True
-        assert kernel["specialized_blocks"] > 0
-        assert kernel["fallback_blocks"] == 0
-        assert kernel["kernel_steps"] > 0
+        counters = result.metrics["counters"]
+        assert result.metrics["gauges"]["kernel.enabled"]["value"] == 1.0
+        assert counters["kernel.specialized_blocks"] > 0
+        assert counters["kernel.fallback_blocks"] == 0
+        assert counters["kernel.steps"] == result.stats["steps_executed"]
 
     def test_kernel_off_is_reported_as_disabled(self):
         result = StcgGenerator(
@@ -95,10 +95,13 @@ class TestKernelTraceData:
             StcgConfig(budget_s=5.0, seed=1, trace=True,
                        kernels=KernelConfig(sim=False)),
         ).run()
-        assert result.trace_data["kernel"] == {"enabled": False}
+        assert result.metrics["gauges"]["kernel.enabled"]["value"] == 0.0
+        assert result.metrics["counters"]["kernel.steps"] == 0
 
     def test_untraced_run_has_no_trace_data(self):
         result = StcgGenerator(
             build_counter_model(), StcgConfig(budget_s=5.0, seed=1)
         ).run()
         assert result.trace_data == {}
+        # The counters come with every run, traced or not.
+        assert result.metrics["counters"]["kernel.steps"] > 0

@@ -3,12 +3,30 @@
 import pytest
 
 from repro import api, cli
+from repro.metrics import MetricsRegistry
 from repro.models.registry import BenchmarkModel
 from repro.obs.report import render_report, trace_phase_totals
 
 from tests.conftest import build_counter_model
 
 TINY = BenchmarkModel("Tiny", "counter fixture", build_counter_model, 0, 0)
+
+
+def _snapshot():
+    """One STCG cell's metrics: stage counters and kernel traffic."""
+    registry = MetricsRegistry()
+    for stage, (attempts, finished, wins, seconds) in {
+        "sample": (4, 3, 3, 0.15), "avm": (1, 1, 1, 0.05),
+    }.items():
+        registry.counter(f"solver.stage.{stage}.attempts").inc(attempts)
+        registry.counter(f"solver.stage.{stage}.finished").inc(finished)
+        registry.counter(f"solver.stage.{stage}.wins").inc(wins)
+        registry.gauge(f"solver.stage.{stage}.seconds").record(seconds)
+    registry.gauge("kernel.enabled", mode="max").record(1.0)
+    registry.counter("kernel.specialized_blocks").inc(42)
+    registry.counter("kernel.fallback_blocks").inc(1)
+    registry.counter("kernel.steps").inc(1234)
+    return registry.snapshot()
 
 
 def traced_events():
@@ -27,16 +45,9 @@ def traced_events():
          "phases": {"solve": {"count": 4, "seconds": 0.2},
                     "encode": {"count": 2, "seconds": 0.1}},
          "counters": {"encoding_hits": 3}},
-        {"event": "solver_stages", "seq": 6, "t": 0.3, "cell": 0,
+        {"event": "metrics", "seq": 6, "t": 0.3, "cell": 0,
          "model": "M", "tool": "STCG", "repetition": 0,
-         "stages": {"sample": {"attempts": 4, "finished": 3, "wins": 3,
-                               "seconds": 0.15},
-                    "avm": {"attempts": 1, "finished": 1, "wins": 1,
-                            "seconds": 0.05}}},
-        {"event": "kernel_stats", "seq": 6, "t": 0.3, "cell": 0,
-         "model": "M", "tool": "STCG", "repetition": 0,
-         "enabled": True, "specialized_blocks": 42, "fallback_blocks": 1,
-         "fallback_classes": ["MovingAccumulator"], "kernel_steps": 1234},
+         "schema": "repro.metrics/1", "snapshot": _snapshot()},
         {"event": "tree_growth", "seq": 7, "t": 0.3, "cell": 0,
          "model": "M", "tool": "STCG", "repetition": 0,
          "points": [[0.0, 1], [0.1, 3], [0.2, 7]]},
@@ -61,33 +72,38 @@ class TestRenderReport:
         assert "solver-stage win rates" in text
         assert "avm" in text and "100.0%" in text
         assert "M/STCG rep0" in text
+        assert "0.150s" in text  # traced stage seconds
         assert "simulation kernel" in text
         assert "42" in text and "1234" in text
-        assert "fallback classes: MovingAccumulator" in text
         assert "7 nodes" in text          # tree growth final value
         assert "100.0% in 0.20s" in text  # coverage curve
         assert "b1" in text and "x3" in text  # slowest targets
 
     def test_untraced_stream_degrades_gracefully(self):
         events = [e for e in traced_events()
-                  if e["event"] not in ("phase_totals", "solver_stages",
-                                        "tree_growth", "span")]
+                  if e["event"] not in ("phase_totals", "tree_growth",
+                                        "span")]
         text = render_report(events)
         # Every absent kind is named explicitly, never zero-filled.
         assert "no events of kind phase_totals — re-run with --trace" in text
-        assert "no events of kind solver_stages" in text
         assert "no events of kind tree_growth" in text
         assert "no events of kind span" in text
-        assert "no events of kind metrics" in text
+        # Counters come with every run: stages and kernels still render.
+        assert "avm" in text and "100.0%" in text
+        assert "1234" in text
         # Coverage still renders from plain timeline points.
         assert "100.0% in 0.20s" in text
+        # A stream without metrics names that kind too.
+        bare = [e for e in events if e["event"] != "metrics"]
+        assert "no events of kind metrics" in render_report(bare)
 
     def test_trace_missing_kinds_names_absent_kinds(self):
         from repro.obs.report import trace_missing_kinds
 
-        assert trace_missing_kinds(traced_events()) == [
-            "cache_stats", "solverc_stats", "metrics",
-        ]
+        assert trace_missing_kinds(traced_events()) == []
+        events = [e for e in traced_events()
+                  if e["event"] not in ("span", "tree_growth")]
+        assert trace_missing_kinds(events) == ["span", "tree_growth"]
         assert "phase_totals" in trace_missing_kinds([])
 
     def test_empty_stream(self):
@@ -118,8 +134,6 @@ class TestRenderReport:
         assert "extra0" not in text
 
     def test_metrics_section_folds_snapshots(self):
-        from repro.metrics import MetricsRegistry
-
         registry = MetricsRegistry()
         registry.counter("stcg.solver_calls").inc(4)
         registry.counter("stcg.sat").inc(0)
@@ -130,6 +144,7 @@ class TestRenderReport:
         }]
         text = render_report(events)
         assert "unified metrics (repro.metrics/1)" in text
+        assert "folded over 2 cell snapshot(s)" in text
         assert "stcg.solver_calls" in text and "4" in text
         assert "1 zero counter(s) omitted" in text
 
@@ -169,11 +184,15 @@ class TestReportCli:
         api.generate(TINY, budget_s=5.0, seed=0, events_out=str(path))
         assert cli.main(["report", str(path)]) == 0
         assert cli.main(["report", str(path), "--require-trace"]) == 1
-        err = capsys.readouterr().err
-        # The error names every absent repro.trace/1 kind.
-        assert "missing repro.trace/1 event kind(s)" in err
-        assert "phase_totals" in err and "solver_stages" in err
-        assert "metrics" in err
+        captured = capsys.readouterr()
+        err = captured.err
+        # The error names every absent repro.trace/2 kind.
+        assert "missing repro.trace/2 event kind(s)" in err
+        assert "phase_totals" in err and "tree_growth" in err
+        assert "span" in err
+        # The untraced report still carries the run's counters.
+        assert "Tiny/STCG" in captured.out
+        assert "no solver calls recorded" not in captured.out
 
     def test_missing_file_is_an_error(self, tmp_path, capsys):
         assert cli.main(["report", str(tmp_path / "nope.jsonl")]) == 1

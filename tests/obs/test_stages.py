@@ -1,22 +1,18 @@
-"""Tests for solver-stage canonicalization and stage metrics accounting."""
+"""Tests for solver-stage canonicalization and the registry stage counters."""
 
 from dataclasses import dataclass, field
 from typing import Dict
 
 import pytest
 
-from repro.obs.stages import (
-    SOLVER_STAGES,
-    SolverStageMetrics,
-    canonical_stage,
-    merge_stage_dicts,
-)
+from repro.metrics import MetricsRegistry, empty_snapshot, merge_snapshots
+from repro.obs.stages import SOLVER_STAGES, canonical_stage, stage_recorder
 from repro.solver.engine import Status
 
 
 @dataclass
 class FakeStats:
-    """Just the SolveStats fields SolverStageMetrics.record consumes."""
+    """Just the SolveStats fields a stage recorder consumes."""
 
     status: Status
     stage: str
@@ -46,19 +42,40 @@ class TestCanonicalStage:
         assert canonical_stage("") == "unknown"
 
 
+def _stages(snapshot):
+    """``{stage: {field: value}}`` from a snapshot's stage instruments."""
+    stages = {}
+    for name, value in snapshot["counters"].items():
+        if name.startswith("solver.stage."):
+            stage, field = name[len("solver.stage."):].rsplit(".", 1)
+            stages.setdefault(stage, {})[field] = value
+    for name, gauge in snapshot["gauges"].items():
+        if name.startswith("solver.stage."):
+            stage = name[len("solver.stage."):].rsplit(".", 1)[0]
+            stages.setdefault(stage, {})["seconds"] = gauge["value"]
+    return stages
+
+
+def _recorded(calls, timed=False):
+    registry = MetricsRegistry()
+    record = stage_recorder(registry, timed=timed)
+    for stats in calls:
+        record(stats)
+    return registry.snapshot()
+
+
 class TestSolverStageMetrics:
+    """The per-stage counters the engine records into the registry."""
+
     def test_record_splits_attempts_and_finished(self):
-        metrics = SolverStageMetrics()
-        # A SAT call that passed through contract and sample, won by AVM.
-        metrics.record(FakeStats(
-            Status.SAT, "avm",
-            {"contract": 0.1, "sample": 0.2, "avm": 0.7},
-        ))
-        # An UNSAT verdict produced directly by the contractor.
-        metrics.record(FakeStats(Status.UNSAT, "contract", {"contract": 0.3}))
-        snap = metrics.as_dict()
-        assert metrics.calls == 2
-        assert metrics.by_status == {"sat": 1, "unsat": 1}
+        snap = _stages(_recorded([
+            # A SAT call that passed through contract and sample, won by AVM.
+            FakeStats(Status.SAT, "avm",
+                      {"contract": 0.1, "sample": 0.2, "avm": 0.7}),
+            # An UNSAT verdict produced directly by the contractor.
+            FakeStats(Status.UNSAT, "contract", {"contract": 0.3}),
+        ], timed=True))
+        assert sum(s["finished"] for s in snap.values()) == 2
         assert snap["contract"]["attempts"] == 2
         assert snap["contract"]["finished"] == 1
         assert snap["contract"]["wins"] == 0
@@ -68,54 +85,56 @@ class TestSolverStageMetrics:
         }
 
     def test_fine_tags_fold_onto_canonical_stages(self):
-        metrics = SolverStageMetrics()
-        metrics.record(FakeStats(Status.SAT, "split-corner",
-                                 {"sample": 0.1, "split": 0.2}))
-        snap = metrics.as_dict()
+        snap = _stages(_recorded([
+            FakeStats(Status.SAT, "split-corner",
+                      {"sample": 0.1, "split": 0.2}),
+        ]))
         assert snap["split"]["finished"] == 1 and snap["split"]["wins"] == 1
 
     def test_invariants_finished_and_wins(self):
-        metrics = SolverStageMetrics()
         calls = [
             FakeStats(Status.SAT, "corner", {"sample": 0.1}),
             FakeStats(Status.SAT, "avm", {"sample": 0.1, "avm": 0.4}),
             FakeStats(Status.UNSAT, "contract", {"contract": 0.1}),
             FakeStats(Status.UNKNOWN, "avm", {"sample": 0.2, "avm": 1.0}),
         ]
-        for stats in calls:
-            metrics.record(stats)
-        snap = metrics.as_dict()
-        assert sum(s["finished"] for s in snap.values()) == metrics.calls
-        assert sum(s["wins"] for s in snap.values()) == \
-            metrics.by_status.get("sat", 0)
+        snap = _stages(_recorded(calls))
+        assert sum(s["finished"] for s in snap.values()) == len(calls)
+        assert sum(s["wins"] for s in snap.values()) == sum(
+            1 for stats in calls if stats.status is Status.SAT
+        )
 
     def test_as_dict_pipeline_order(self):
-        metrics = SolverStageMetrics()
-        metrics.record(FakeStats(Status.SAT, "avm",
-                                 {"avm": 0.1, "contract": 0.1, "sample": 0.1}))
-        names = list(metrics.as_dict())
-        assert names == ["contract", "sample", "avm"]  # pipeline order
+        """Untimed recording keeps seconds out of the snapshot; the stage
+        instruments appear in a fixed (sorted) order either way."""
+        snapshot = _recorded([
+            FakeStats(Status.SAT, "avm",
+                      {"avm": 0.1, "contract": 0.1, "sample": 0.1}),
+        ])
+        assert snapshot["gauges"] == {}
+        names = list(snapshot["counters"])
+        assert names == sorted(names)
+        assert set(_stages(snapshot)) == {"contract", "sample", "avm"}
+        assert set(_stages(snapshot)) <= set(SOLVER_STAGES)
 
 
 class TestMergeStageDicts:
+    """Per-engine stage counters merge through the registry snapshots."""
+
     def test_merges_in_place_and_sums(self):
-        into = {"avm": {"attempts": 1, "finished": 1, "wins": 1,
-                        "seconds": 0.5}}
-        other = {
-            "avm": {"attempts": 2, "finished": 1, "wins": 0, "seconds": 0.25},
-            "sample": {"attempts": 3, "finished": 2, "wins": 2,
-                       "seconds": 1.0},
-        }
-        result = merge_stage_dicts(into, other)
-        assert result is into
-        assert into["avm"] == {"attempts": 3, "finished": 2, "wins": 1,
-                               "seconds": 0.75}
-        assert into["sample"]["attempts"] == 3
+        into = _recorded([FakeStats(Status.SAT, "avm", {"avm": 0.5})],
+                         timed=True)
+        other = _recorded([
+            FakeStats(Status.UNKNOWN, "avm", {"avm": 0.25}),
+            FakeStats(Status.SAT, "sample", {"sample": 1.0}),
+        ], timed=True)
+        merged = _stages(merge_snapshots(into, other))
+        assert merged["avm"] == {"attempts": 2, "finished": 2, "wins": 1,
+                                 "seconds": 0.75}
+        assert merged["sample"]["attempts"] == 1
 
     def test_none_and_partial_stats_tolerated(self):
-        into = {}
-        merge_stage_dicts(into, None)
-        assert into == {}
-        merge_stage_dicts(into, {"fold": {"finished": 2}})
-        assert into["fold"] == {"attempts": 0, "finished": 2, "wins": 0,
-                                "seconds": 0.0}
+        partial = _recorded([FakeStats(Status.UNSAT, "fold", {})])
+        assert merge_snapshots(partial, empty_snapshot()) == partial
+        assert _stages(partial)["fold"] == {"attempts": 0, "finished": 1,
+                                            "wins": 0}

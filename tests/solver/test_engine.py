@@ -131,15 +131,12 @@ class TestStageMetrics:
     def test_fixed_seed_counters_sum_to_calls(self):
         engine = SolverEngine(SolverConfig(seed=99))
         results = [engine.solve(c, ALL_VARS) for c in self.CONSTRAINTS]
-        metrics = engine.metrics
-        assert metrics.calls == len(self.CONSTRAINTS)
-        snap = metrics.as_dict()
+        snap = _stages(engine)
         # Every call finishes in exactly one canonical stage...
-        assert sum(s["finished"] for s in snap.values()) == metrics.calls
+        assert sum(s["finished"] for s in snap.values()) == len(results)
         # ...and every SAT verdict is exactly one stage's win.
         sat = sum(1 for r in results if r.status is Status.SAT)
         assert sum(s["wins"] for s in snap.values()) == sat
-        assert metrics.by_status.get("sat", 0) == sat
 
     def test_winning_stage_matches_result_stage(self):
         from repro.obs.stages import canonical_stage
@@ -147,7 +144,7 @@ class TestStageMetrics:
         for constraint in self.CONSTRAINTS:
             engine = SolverEngine(SolverConfig(seed=99))
             result = engine.solve(constraint, ALL_VARS)
-            snap = engine.metrics.as_dict()
+            snap = _stages(engine)
             terminal = canonical_stage(result.stats.stage)
             assert snap[terminal]["finished"] == 1
             expected_wins = 1 if result.status is Status.SAT else 0
@@ -156,11 +153,40 @@ class TestStageMetrics:
     def test_attempts_count_stages_entered(self):
         engine = SolverEngine(SolverConfig(seed=99))
         result = engine.solve(x.eq(x.add(x.mul(I, 3), 7), 52), ALL_VARS)
-        snap = engine.metrics.as_dict()
+        snap = _stages(engine)
         # Each stage the call spent time in is one attempt.
         entered = set(result.stats.stage_times)
-        assert set(snap) == entered
+        assert {stage for stage, s in snap.items() if s["attempts"]} == entered
         assert all(snap[stage]["attempts"] == 1 for stage in entered)
+
+    def test_shared_registry_and_timed_seconds(self):
+        from repro.metrics import MetricsRegistry
+
+        registry = MetricsRegistry()
+        plain = SolverEngine(SolverConfig(seed=99), registry)
+        timed = SolverEngine(SolverConfig(seed=99), registry, timed=True)
+        plain.solve(x.gt(I, 95), ALL_VARS)
+        result = timed.solve(x.gt(I, 95), ALL_VARS)
+        snap = registry.snapshot()
+        assert plain.registry is timed.registry is registry
+        stage = result.stats.stage_times
+        assert sum(
+            snap["counters"][f"solver.stage.{s}.finished"] for s in stage
+        ) == 2
+        # Only the timed engine adds wall-clock seconds.
+        for name in stage:
+            gauge = snap["gauges"][f"solver.stage.{name}.seconds"]
+            assert gauge["value"] == pytest.approx(stage[name], abs=1e-8)
+
+
+def _stages(engine):
+    """``{stage: {attempts, finished, wins}}`` from the engine's registry."""
+    stages = {}
+    for name, value in engine.registry.snapshot()["counters"].items():
+        if name.startswith("solver.stage."):
+            stage, field = name[len("solver.stage."):].rsplit(".", 1)
+            stages.setdefault(stage, {})[field] = value
+    return stages
 
 
 class TestAvmDirect:

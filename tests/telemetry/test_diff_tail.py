@@ -24,6 +24,22 @@ from tests.conftest import build_counter_model
 TINY = BenchmarkModel("Tiny", "counter fixture", build_counter_model, 0, 0)
 
 
+#: The cache counters every fixture manifest starts from.
+_CACHE = {"cache.encoding_hits": 80, "cache.encoding_misses": 20,
+          "cache.compiled_hits": 0, "cache.compiled_misses": 0}
+
+
+def _counters(**overrides):
+    counters = {
+        **_CACHE,
+        "kernel.specialized_blocks": 90, "kernel.fallback_blocks": 10,
+        "solverc.candidates_batched": 50, "solverc.candidates_scalar": 0,
+        "stcg.solver_calls": 12,
+    }
+    counters.update(overrides)
+    return counters
+
+
 def _manifest(**overrides):
     base = {
         "schema": "repro.run-manifest/1",
@@ -33,13 +49,7 @@ def _manifest(**overrides):
                               "mcdc": 1.0, "runs": 2}},
         },
         "phase_seconds": {"solve": 1.0, "execute": 0.5},
-        "cache": {"encoding_hits": 80, "encoding_misses": 20,
-                  "compiled_hits": 0, "compiled_misses": 0},
-        "metrics": {"counters": {
-            "kernel.specialized_blocks": 90, "kernel.fallback_blocks": 10,
-            "solverc.candidates_batched": 50, "solverc.candidates_scalar": 0,
-            "stcg.solver_calls": 12,
-        }},
+        "metrics": {"counters": _counters()},
         "stalls": [],
     }
     base.update(overrides)
@@ -49,7 +59,7 @@ def _manifest(**overrides):
 class TestRates:
     def test_cache_hit_rate(self):
         assert cache_hit_rate(_manifest()) == pytest.approx(0.8)
-        assert cache_hit_rate({"cache": {}}) is None
+        assert cache_hit_rate({"metrics": {"counters": {}}}) is None
 
     def test_kernel_fallback_rate(self):
         assert kernel_fallback_rate(_manifest()) == pytest.approx(0.1)
@@ -80,8 +90,9 @@ class TestDiffRuns:
         assert any("failed cell(s)" in p for p in problems)
 
     def test_cache_hit_drop_respects_slack(self):
-        worse = _manifest(cache={"encoding_hits": 76, "encoding_misses": 24,
-                                 "compiled_hits": 0, "compiled_misses": 0})
+        worse = _manifest(metrics={"counters": _counters(**{
+            "cache.encoding_hits": 76, "cache.encoding_misses": 24,
+        })})
         diff = diff_runs(_manifest(), worse)
         assert find_regressions(diff) == []  # 4-point dip inside slack
         tight = Thresholds(cache_hit_drop=0.01)
@@ -89,11 +100,9 @@ class TestDiffRuns:
                    for p in find_regressions(diff, tight))
 
     def test_fallback_rate_increase_flags(self):
-        worse = _manifest(metrics={"counters": {
+        worse = _manifest(metrics={"counters": _counters(**{
             "kernel.specialized_blocks": 50, "kernel.fallback_blocks": 50,
-            "solverc.candidates_batched": 50, "solverc.candidates_scalar": 0,
-            "stcg.solver_calls": 12,
-        }})
+        })})
         problems = find_regressions(diff_runs(_manifest(), worse))
         assert any("kernel fallback" in p for p in problems)
 
@@ -107,11 +116,9 @@ class TestDiffRuns:
         assert find_regressions(diff_runs(tiny, fast)) == []
 
     def test_changed_counters_are_listed(self):
-        changed = _manifest(metrics={"counters": {
-            "kernel.specialized_blocks": 90, "kernel.fallback_blocks": 10,
-            "solverc.candidates_batched": 50, "solverc.candidates_scalar": 0,
+        changed = _manifest(metrics={"counters": _counters(**{
             "stcg.solver_calls": 20,
-        }})
+        })})
         diff = diff_runs(_manifest(), changed)
         assert diff.counters == {"stcg.solver_calls": (12, 20)}
         assert "stcg.solver_calls" in render_diff(diff, [])

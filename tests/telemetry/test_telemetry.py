@@ -6,6 +6,7 @@ import pytest
 
 from repro.errors import ReproError
 from repro.exec import execute_matrix
+from repro.metrics import METRICS_SCHEMA, MetricsRegistry
 from repro.models.registry import BenchmarkModel
 from repro.telemetry import (
     EVENT_SCHEMA,
@@ -90,22 +91,27 @@ class TestEventLog:
         log = EventLog()
         log.emit("matrix_started", models=["M"], tools=["STCG"], cells=1)
         for cell in (0, 1):
+            registry = MetricsRegistry()
+            registry.counter("solver.stage.avm.wins").inc()
+            registry.gauge("solver.stage.avm.seconds").record(0.25)
             log.emit("phase_totals", cell=cell, model="M", tool="STCG",
                      phases={"solve": {"count": 2, "seconds": 0.5}})
-            log.emit("solver_stages", cell=cell, model="M", tool="STCG",
-                     stages={"avm": {"attempts": 1, "finished": 1,
-                                     "wins": 1, "seconds": 0.25}})
+            log.emit("metrics", cell=cell, model="M", tool="STCG",
+                     schema=METRICS_SCHEMA, snapshot=registry.snapshot())
         manifest = log.manifest()
         assert manifest["phase_seconds"] == {"solve": 1.0}
-        assert manifest["solver_stages"]["avm"]["wins"] == 2
-        assert manifest["solver_stages"]["avm"]["seconds"] == 0.5
+        metrics = manifest["metrics"]
+        assert metrics["counters"]["solver.stage.avm.wins"] == 2
+        assert metrics["gauges"]["solver.stage.avm.seconds"]["value"] == 0.5
 
     def test_untraced_manifest_has_empty_trace_aggregates(self):
         log = EventLog()
         log.emit("matrix_started", models=["M"], tools=["STCG"], cells=0)
         manifest = log.manifest()
         assert manifest["phase_seconds"] == {}
-        assert manifest["solver_stages"] == {}
+        assert manifest["metrics"] == {}
+        # One counter store: no per-subsystem counter sections.
+        assert "solver_stages" not in manifest and "cache" not in manifest
 
 
 class TestExecutorTelemetry:
@@ -164,19 +170,20 @@ class TestExecutorTelemetry:
             assert event["schema"] == TRACE_SCHEMA
             assert event["phases"]
             assert "cell" in event and "seed" in event
-        # STCG cells additionally report solver stages and tree growth.
-        stcg_stages = [e for e in events if e["event"] == "solver_stages"
-                       and e["tool"] == "STCG"]
-        assert stcg_stages and stcg_stages[0]["stages"]
+        # STCG cells additionally report tree growth.
         growth = [e for e in events if e["event"] == "tree_growth"]
         assert growth and growth[0]["tool"] == "STCG"
         assert growth[0]["points"]
-        # ... and the simulation-kernel specialization stats.
-        kernel = [e for e in events if e["event"] == "kernel_stats"
-                  and e["tool"] == "STCG"]
-        assert kernel and kernel[0]["enabled"] is True
-        assert kernel[0]["specialized_blocks"] > 0
-        assert kernel[0]["kernel_steps"] > 0
+        # Every cell carries one metrics snapshot: solver stages and the
+        # simulation-kernel counters included.
+        metrics = {e["tool"]: e for e in events if e["event"] == "metrics"}
+        assert set(metrics) == {"STCG", "SimCoTest"}
+        stcg = metrics["STCG"]
+        assert stcg["schema"] == METRICS_SCHEMA and "seed" in stcg
+        counters = stcg["snapshot"]["counters"]
+        assert counters["solver.stage.sample.finished"] > 0
+        assert counters["kernel.specialized_blocks"] > 0
+        assert counters["kernel.steps"] > 0
 
     def test_untraced_matrix_has_no_trace_events(self):
         log = EventLog()
@@ -202,7 +209,7 @@ class TestManifestRoundTrip:
         from_disk = build_manifest(read_events(str(path)))
         assert from_disk == in_memory
         assert from_disk["phase_seconds"]
-        assert from_disk["solver_stages"]
+        assert from_disk["metrics"]["counters"]["stcg.solver_calls"] > 0
 
     def test_write_manifest_equals_build_manifest(self, tmp_path):
         events_path = tmp_path / "run.jsonl"
@@ -219,8 +226,6 @@ class TestManifestRoundTrip:
 
 def _interleaved_cell_events():
     """A synthetic traced 2-model x 2-rep stream with per-cell events."""
-    from repro.metrics import MetricsRegistry
-
     events = [
         {"event": "log_opened", "seq": 0, "t": 0.0, "schema": EVENT_SCHEMA},
         {"event": "matrix_started", "seq": 1, "t": 0.0, "models": ["A", "B"],
@@ -248,7 +253,7 @@ def _interleaved_cell_events():
              "phases": {"solve": {"count": 1, "seconds": 0.1 * (index + 1)},
                         "execute": {"count": 1, "seconds": 0.07}}},
             {"event": "metrics", "seq": seq + 3, "t": 0.1, **identity,
-             "schema": TRACE_SCHEMA, "snapshot": registry.snapshot()},
+             "schema": METRICS_SCHEMA, "snapshot": registry.snapshot()},
         ]
         seq += 4
     events.append({"event": "matrix_finished", "seq": seq, "t": 0.5,
@@ -317,19 +322,13 @@ class TestManifestOrderIndependence:
             return log.manifest()
 
         serial, parallel = manifest(1), manifest(4)
-        for key in ("coverage", "stat_totals", "cache",
+        for key in ("coverage", "stat_totals",
                     "cells", "ok", "failed", "stalls"):
             assert serial[key] == parallel[key], key
 
-        # Stage *counters* are deterministic; stage seconds are wall-clock
-        # and jitter between any two real runs, workers aside.
-        def stage_counts(manifest_doc):
-            return {
-                stage: {k: v for k, v in stat.items() if k != "seconds"}
-                for stage, stat in manifest_doc["solver_stages"].items()
-            }
-
-        assert stage_counts(serial) == stage_counts(parallel)
+        # Counters (stages and cache included) are deterministic; traced
+        # stage seconds are wall-clock gauges and jitter between any two
+        # real runs, workers aside.
         assert (serial["metrics"]["counters"]
                 == parallel["metrics"]["counters"])
         assert (serial["metrics"]["histograms"]
