@@ -219,6 +219,8 @@ class StcgGenerator:
         #: Derived-state sizes right after a successful warm-start
         #: restore — the skip-save fingerprint (see :meth:`_store_save`).
         self._store_snapshot: Optional[tuple] = None
+        #: Whether this run's ``encoder.*`` counts are in the registry.
+        self._encoder_counted = False
         #: Process trace (populated when config.record_trace is on).
         self.trace: List[TraceEntry] = []
 
@@ -515,9 +517,18 @@ class StcgGenerator:
     def _encoding(self, node: StateTreeNode) -> OneStepEncoding:
         with self.tracer.span("encode"):
             return self.cache.encoding(
-                node.state.fingerprint(),
-                lambda: OneStepEncoding(self.compiled, node.state),
+                node.state.fingerprint(), lambda: self._encode(node.state)
             )
+
+    def _encode(self, state) -> OneStepEncoding:
+        """Build one encoding.  The run's first build adds the encoder
+        kernel's compile-time ``encoder.*`` counts to the registry, as
+        constructing the simulator does for ``kernel.*``."""
+        encoding = OneStepEncoding(self.compiled, state)
+        if not self._encoder_counted:
+            self._encoder_counted = True
+            self.compiled.symbolic_kernel.count_into(self.metrics)
+        return encoding
 
     # ------------------------------------------------------------------
     # Algorithm 2: dynamic execution

@@ -84,7 +84,9 @@ def _rebuild(node: Expr, visit, bindings: Mapping[str, Expr]) -> Expr:
     return node
 
 
-_UNARY_BUILDERS = {
+#: The smart constructor that rebuilds each operator node; shared with the
+#: compiled substitution of :mod:`repro.kernel.exprc`.
+UNARY_BUILDERS = {
     "neg": ops.neg,
     "not": ops.lnot,
     "abs": ops.absolute,
@@ -95,7 +97,7 @@ _UNARY_BUILDERS = {
     "to_bool": ops.to_bool,
 }
 
-_BINARY_BUILDERS = {
+BINARY_BUILDERS = {
     "add": ops.add,
     "sub": ops.sub,
     "mul": ops.mul,
@@ -118,11 +120,11 @@ _BINARY_BUILDERS = {
 
 
 def _unary(op: str, arg: Expr) -> Expr:
-    return _UNARY_BUILDERS[op](arg)
+    return UNARY_BUILDERS[op](arg)
 
 
 def _binary(op: str, left: Expr, right: Expr) -> Expr:
-    return _BINARY_BUILDERS[op](left, right)
+    return BINARY_BUILDERS[op](left, right)
 
 
 def node_count(expr: Expr) -> int:

@@ -1,9 +1,10 @@
 """Per-block specialized kernels for the concrete fast path.
 
-Each factory takes one plan item plus its pre-resolved input slots and
-returns a closure ``step(ctx)`` that reproduces, bit for bit, what the
-generic interpreter (``Block.compute`` + ``Block.update`` driven by
-:func:`repro.model.executor.execute_step`) would do in **concrete** mode:
+Each factory (:data:`KERNEL_FACTORIES`) takes one plan item plus
+its pre-resolved input slots and returns a closure ``step(ctx)`` that
+reproduces, bit for bit, what the generic interpreter (``Block.compute`` +
+``Block.update`` driven by :func:`repro.model.executor.execute_step`)
+would do in **concrete** mode:
 
 * the same output values written into the item's reusable output buffer,
 * the same coverage events, in the same order, through the same
@@ -22,7 +23,8 @@ build time (constants) and no per-step closure is needed at all.
 Dispatch is by *exact* block class: subclasses may override ``compute`` /
 ``update``, so they take the generic path unless registered explicitly
 (``Memory`` is — it inherits ``UnitDelay``'s semantics unchanged).
-Symbolic and abstract execution never touch this module.
+The symbolic domain's factories live in :mod:`repro.kernel.symbolic`;
+abstract (interval) execution never touches the kernel.
 """
 
 from __future__ import annotations
@@ -84,6 +86,28 @@ def _state_path(block, key: str, compiled: CompiledModel) -> Optional[str]:
     """Precomputed state path, or ``None`` if the layout doesn't know it."""
     path = f"{block.path}.{key}"
     return path if path in compiled.state_elements else None
+
+
+def fallback_step(item: PlanItem, srcs, out, active) -> StepFn:
+    """Generic ``compute``/``update`` dispatch for one item, inside the slot
+    machinery; runs in whichever domain the step context's value table is."""
+    block = item.block
+    n_out = block.n_out
+    path = block.path
+    always = active is None
+
+    def step(ctx):
+        ctx.active = True if always else active(ctx)
+        values = [lst[port] for lst, port in srcs]
+        outputs = block.compute(ctx, values)
+        if len(outputs) != n_out:
+            raise SimulationError(
+                f"{path!r} produced {len(outputs)} outputs, declared {n_out}"
+            )
+        block.update(ctx, values, outputs)
+        out[:] = outputs
+
+    return step
 
 
 # -- pure dataflow ----------------------------------------------------------
@@ -743,8 +767,3 @@ KERNEL_FACTORIES: Dict[type, Callable] = {
     Logic: _k_logic,
     ChartBlock: _k_chart,
 }
-
-
-def factory_for(item: PlanItem) -> Optional[Callable]:
-    """The kernel factory for a plan item, or ``None`` (generic fallback)."""
-    return KERNEL_FACTORIES.get(type(item.block))

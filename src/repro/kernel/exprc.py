@@ -1,6 +1,6 @@
-"""Compile expression ASTs to Python closures for the concrete fast path.
+"""Compile expression ASTs to Python closures, in two value domains.
 
-:func:`compile_expr` turns an :class:`~repro.expr.ast.Expr` tree into a
+**Concrete.** :func:`compile_expr` turns an :class:`~repro.expr.ast.Expr` tree into a
 ``fn(env) -> value`` closure observably equivalent to
 :func:`repro.expr.evaluator.evaluate` under every environment:
 
@@ -17,19 +17,30 @@ change cost, never the value; chart guards and actions — the only
 expressions the kernel compiles — are small parsed trees without sharing.
 Any node type this compiler does not recognize compiles to a closure that
 defers the whole subtree to the interpreter, keeping equivalence trivial.
+
+**Symbolic.** :func:`compile_substitution` turns a tree into a
+``fn(bindings) -> Expr`` closure whose result is structurally equal to
+:func:`repro.expr.variables.substitute` under every binding map: each
+operator node rebuilds through the same smart constructor, and returns
+the original node when none of its children changed.  Subtrees without a
+variable compile to the node itself.  This is how chart guards and
+actions, ``Fcn`` templates and condition-point structures are
+substituted by the compiled one-step encoder.
 """
 
 from __future__ import annotations
 
 import math
 import operator
-from typing import Callable, Mapping
+from typing import Callable, Dict, List, Mapping, Optional, Tuple
 
 from repro.errors import EvalError
 from repro.expr import ast, semantics
 from repro.expr.ast import Binary, Const, Expr, Ite, Select, Store, Unary, Var
 from repro.expr.evaluator import evaluate
 from repro.expr.types import Type, coerce_value
+from repro.expr import ops
+from repro.expr.variables import BINARY_BUILDERS, UNARY_BUILDERS
 
 CompiledExpr = Callable[[Mapping[str, object]], object]
 
@@ -155,3 +166,86 @@ def compile_expr(expr: Expr) -> CompiledExpr:
 
         return store_fn
     return _interpreted(expr)
+
+
+SubstFn = Callable[[Mapping[str, Expr]], Expr]
+#: ``id(node) -> (cell, index)``: nodes whose substituted value the caller
+#: computes itself and leaves in ``cell[index]`` before calling.
+Operands = Dict[int, Tuple[List[Optional[Expr]], int]]
+
+
+def compile_substitution(
+    expr: Expr, operands: Optional[Operands] = None
+) -> SubstFn:
+    """Compile ``expr`` into a closure equivalent to ``substitute(expr, b)``.
+
+    ``operands`` lets a caller reuse values it already substituted: a node
+    listed there (by identity) reads its value from the given cell instead
+    of being rebuilt.  The chart uses it to build a guard from its
+    condition atoms.
+    """
+    operands = operands or {}
+    return _subst_fn(expr, operands, _static_nodes(expr, operands))
+
+
+def _static_nodes(expr: Expr, operands: Operands) -> set:
+    """``id``s of the subtrees that contain no variable and no operand."""
+    static: set = set()
+    order = list(expr.walk())
+    for node in reversed(order):  # children before parents
+        if isinstance(node, Var) or id(node) in operands:
+            continue
+        if all(id(child) in static for child in node.children):
+            static.add(id(node))
+    return static
+
+
+def _subst_fn(node: Expr, operands: Operands, static: set) -> SubstFn:
+    slot = operands.get(id(node))
+    if slot is not None:
+        cell, index = slot
+        return lambda bindings: cell[index]
+    if id(node) in static:
+        return lambda bindings: node
+    if isinstance(node, Var):
+        name = node.name
+        return lambda bindings: bindings.get(name, node)
+    if isinstance(node, Unary):
+        arg_node = node.arg
+        arg = _subst_fn(arg_node, operands, static)
+        build = UNARY_BUILDERS[node.op]
+
+        def unary_fn(bindings):
+            value = arg(bindings)
+            return node if value is arg_node else build(value)
+
+        return unary_fn
+    if isinstance(node, Binary):
+        left_node, right_node = node.left, node.right
+        left = _subst_fn(left_node, operands, static)
+        right = _subst_fn(right_node, operands, static)
+        build = BINARY_BUILDERS[node.op]
+
+        def binary_fn(bindings):
+            a = left(bindings)
+            b = right(bindings)
+            if a is left_node and b is right_node:
+                return node
+            return build(a, b)
+
+        return binary_fn
+    if isinstance(node, (Ite, Select, Store)):
+        child_nodes = node.children
+        children = tuple(
+            _subst_fn(child, operands, static) for child in child_nodes
+        )
+        build = {Ite: ops.ite, Select: ops.select, Store: ops.store}[type(node)]
+
+        def nary_fn(bindings):
+            values = [child(bindings) for child in children]
+            if all(v is c for v, c in zip(values, child_nodes)):
+                return node
+            return build(*values)
+
+        return nary_fn
+    return lambda bindings: node

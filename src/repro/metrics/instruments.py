@@ -14,6 +14,9 @@ Every counter the reproduction reports lives in the run's
   incremented live by the engines and the constraint compiler;
 * ``kernel.*``   — sim-kernel specialization and steps, incremented live
   by the simulator;
+* ``encoder.*``  — compiled one-step encoder specialization
+  (specialized, fallback and staged blocks), counted by the generator's
+  first encoding;
 * ``cache.*``    — the solve-cache counters and state-tree dedup links
   (counters) and ``cache.unique_states`` (max-gauge), read off the cache
   and tree at the end of the run;
@@ -123,6 +126,8 @@ def declare_instruments(
     registry.counter("cache.dedup_links")
     for key in ("specialized_blocks", "fallback_blocks", "steps"):
         registry.counter(f"kernel.{key}")
+    for key in ("specialized_blocks", "fallback_blocks", "staged_blocks"):
+        registry.counter(f"encoder.{key}")
     for key in SOLVERC_COUNTERS:
         registry.counter(f"solverc.{key}")
     for key in FUZZ_COUNTERS:

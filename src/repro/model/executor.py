@@ -18,8 +18,9 @@ def execute_step(compiled: CompiledModel, ctx: StepContext) -> Dict[str, object]
     next unrolled step (the SLDV-like encoder).
 
     This is the generic interpreter: it dispatches through ``compute`` /
-    ``update`` on every block.  The concrete-only fast path lives in
-    :mod:`repro.kernel`, which must stay observably equivalent to this loop.
+    ``update`` on every block.  The compiled paths live in
+    :mod:`repro.kernel` — the concrete fast path and the one-step symbolic
+    encoder — and must stay observably equivalent to this loop.
     """
     plan = compiled.plan
     outputs_per_item: List[Optional[List[object]]] = [None] * len(plan)

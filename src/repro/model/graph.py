@@ -338,6 +338,9 @@ class CompiledModel:
             (name, index_of[id(signal.block)], signal.port)
             for name, signal in self.outports
         )
+        #: The compiled one-step encoder, built on the first encoding
+        #: (:func:`repro.kernel.plan.symbolic_kernel`).
+        self.symbolic_kernel = None
 
     def initial_state(self) -> Dict[str, object]:
         """Fresh state environment with every element at its initial value."""

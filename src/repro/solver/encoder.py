@@ -1,28 +1,31 @@
 """Symbolic encodings of model steps.
 
-Two encoders share the symbolic execution machinery:
+Two encoders build symbolic executions of the model:
 
 * :class:`OneStepEncoding` — STCG's state-aware encoding: inputs are
   symbolic variables, the state snapshot enters as *constants*.  Branch
   conditions therefore collapse wherever they depend on state (a transition
   whose source state is inactive folds to ``false`` immediately), which is
-  the paper's central argument for solving one iteration at a time.
+  the paper's central argument for solving one iteration at a time.  It
+  runs the model's compiled symbolic kernel (:mod:`repro.kernel.plan`).
 * :class:`UnrolledEncoding` — the SLDV-like bounded encoding: ``k`` steps
   are chained symbolically from the initial state, with per-step input
   variables and state expressions threaded between steps.  Constraint size
   grows with depth and with state complexity (arrays, chart locations),
   reproducing why whole-model constraint solving struggles on state-heavy
-  models.
+  models.  It runs the generic interpreter,
+  :func:`~repro.model.executor.execute_step`, with symbolic state.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro.errors import SolverError
 from repro.coverage.registry import Branch
 from repro.expr import ops as x
 from repro.expr.ast import Expr, FALSE, TRUE, Var
+from repro.kernel.plan import symbolic_kernel
 from repro.model.context import symbolic_context
 from repro.model.executor import execute_step
 from repro.model.graph import CompiledModel
@@ -30,24 +33,42 @@ from repro.model.state import ModelState
 
 
 class OneStepEncoding:
-    """Symbolic execution of one iteration from a concrete state."""
+    """Symbolic execution of one iteration from a concrete state.
+
+    Built by the model's compiled symbolic kernel
+    (:class:`~repro.kernel.plan.SymbolicKernel`, compiled on the first
+    encoding of a model and cached on it).  Its outputs, next state,
+    outcome conditions and condition atoms are structurally equal to
+    those of the reference interpreter, ``execute_step`` under a
+    ``symbolic_context``; the parts that do not depend on the state are
+    shared, read-only, by every encoding of the model.
+    """
 
     def __init__(self, compiled: CompiledModel, state: ModelState):
         self.compiled = compiled
         self.state = state
-        self.variables: List[Var] = compiled.input_variables()
-        inputs: Dict[str, object] = {v.name: v for v in self.variables}
-        # ``ModelState.values`` already hands out a fresh dict; execution
+        kernel = symbolic_kernel(compiled)
+        self.variables: List[Var] = list(kernel.variables)
+        # ``ModelState.values`` already hands out a fresh dict; encoding
         # only reads it (writes land in ``ctx.next_state``), so one copy
-        # serves both as the execution environment and as the base of the
+        # serves both as the state environment and as the base of the
         # next-state map.  The snapshot itself is never aliased or mutated.
         env: Dict[str, object] = state.values
-        ctx = symbolic_context(inputs, env)
-        self.outputs = execute_step(compiled, ctx)
+        ctx = kernel.encode(env)
+        self.outputs = kernel.read_outputs()
         self._outcome_conditions = ctx.outcome_conditions
         self._condition_atoms = ctx.condition_atoms
         self._next_state = env
         self._next_state.update(ctx.next_state)
+        #: ``((point_id, atom), derivative)`` of the last MCDC obligation.
+        #: The generator asks for both polarities of an atom back to back,
+        #: so one entry shares every derivative a full memo would, without
+        #: keeping them alive in cached encodings (which measurably moved
+        #: garbage-collection work into later allocations).
+        self._last_derivative: Tuple[Optional[tuple], Optional[Expr]] = (
+            None,
+            None,
+        )
 
     def branch_condition(self, branch: Branch) -> Expr:
         """The branch's local condition C under this state."""
@@ -85,34 +106,36 @@ class OneStepEncoding:
             # guard whose source state is inactive).
             return x.FALSE
         atoms, context = recorded
-        point = self.compiled.registry.condition_point(obligation.point_id)
         atom = atoms[obligation.atom]
         polarity = atom if obligation.polarity else x.lnot(atom)
         constraint = x.land(context, polarity)
-        if obligation.determining:
-            constraint = x.land(
-                constraint, self._derivative(point, atoms, obligation.atom)
+        if not obligation.determining or (
+            constraint.is_const and not constraint.const_value()
+        ):
+            return constraint
+        key = (obligation.point_id, obligation.atom)
+        last_key, derivative = self._last_derivative
+        if last_key != key:
+            derivative = self._derivative(
+                symbolic_kernel(self.compiled).structure(
+                    self.compiled.registry.condition_point(obligation.point_id)
+                ),
+                atoms,
+                obligation.atom,
             )
-        return constraint
+            self._last_derivative = (key, derivative)
+        return x.land(constraint, derivative)
 
     @staticmethod
-    def _derivative(point, atoms: List[Expr], index: int) -> Expr:
-        """Boolean derivative of the point structure w.r.t. one atom."""
-        from repro.expr.variables import substitute
-
-        bind_true = {}
-        bind_false = {}
-        for position, atom in enumerate(atoms):
-            name = f"c{position}"
-            if position == index:
-                bind_true[name] = TRUE
-                bind_false[name] = FALSE
-            else:
-                bind_true[name] = atom
-                bind_false[name] = atom
-        with_true = substitute(point.structure, bind_true)
-        with_false = substitute(point.structure, bind_false)
-        return x.lxor(with_true, with_false)
+    def _derivative(structure, atoms: List[Expr], index: int) -> Expr:
+        """Boolean derivative of the compiled point ``structure`` w.r.t.
+        one atom: the structure with that atom true, xor with it false."""
+        bindings = {f"c{position}": atom for position, atom in enumerate(atoms)}
+        name = f"c{index}"
+        bindings[name] = TRUE
+        with_true = structure(bindings)
+        bindings[name] = FALSE
+        return x.lxor(with_true, structure(bindings))
 
 
 class UnrolledEncoding:

@@ -8,6 +8,12 @@ solving) the encoding collapses to the active state's transitions, while a
 *symbolic* location (the SLDV-like unroller) expands into an ITE merge over
 every leaf state, which is precisely the blow-up the paper attributes to
 whole-model constraint solving.
+
+These methods are the reference semantics.  The compiled kernels mirror
+them with every guard, action and atom compiled once per model:
+``repro.kernel.blocks._k_chart`` for concrete steps and
+``repro.kernel.symbolic._s_chart`` for the constant-location symbolic
+step of a one-step encoding.
 """
 
 from __future__ import annotations

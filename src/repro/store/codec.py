@@ -469,6 +469,7 @@ def decode_encoding(payload, compiled, exprs: List[Expr]):
             for point_id, pair in payload["atoms"].items()
         }
         encoding._next_state = {}
+        encoding._last_derivative = (None, None)
     except (KeyError, TypeError, ValueError, AttributeError) as err:
         raise CodecError(f"malformed encoding payload: {err}") from err
     return encoding

@@ -205,3 +205,73 @@ class TestEncodingCodec:
         payload = encode_encoding(encoding, table)
         with pytest.raises(CodecError):
             decode_encoding(payload, compiled, [])  # empty table
+
+
+class TestSharedEncodingTable:
+    """Encodings from the compiled encoder share their state-free parts
+    (staged sub-DAGs) as objects, so one table holding several of them
+    interns those nodes once.  The layout is smaller; the content is not
+    allowed to change."""
+
+    @staticmethod
+    def _walk_encodings(compiled, steps=12):
+        import random
+
+        from repro.model.inputs import random_input
+        from repro.model.simulator import Simulator
+
+        rng = random.Random(3)
+        simulator = Simulator(compiled)
+        encodings = []
+        for _ in range(steps):
+            encodings.append(OneStepEncoding(compiled, simulator.get_state()))
+            simulator.step(random_input(compiled.inports, rng))
+        return encodings
+
+    @pytest.mark.parametrize("name", ["AFC", "CPUTask", "Queue"])
+    def test_round_trip_through_one_table(self, name):
+        from repro.coverage.collector import CoverageCollector
+        from repro.models.registry import get_benchmark
+
+        compiled = (
+            build_queue_model() if name == "Queue"
+            else get_benchmark(name).build()
+        )
+        encodings = self._walk_encodings(compiled)
+        table = ExprTable()
+        payloads = [encode_encoding(e, table) for e in encodings]
+        exprs = decode_expr_table(table.nodes)
+        obligations = CoverageCollector(
+            compiled.registry
+        ).all_condition_obligations()
+        for encoding, payload in zip(encodings, payloads):
+            decoded = decode_encoding(payload, compiled, exprs)
+            assert decoded._outcome_conditions == encoding._outcome_conditions
+            assert decoded._condition_atoms == encoding._condition_atoms
+            for decision_id, conditions in encoding._outcome_conditions.items():
+                assert [encode_expr(c) for c in conditions] == [
+                    encode_expr(c)
+                    for c in decoded._outcome_conditions[decision_id]
+                ]
+            for branch in compiled.registry.branches:
+                assert decoded.path_constraint(
+                    branch
+                ) == encoding.path_constraint(branch)
+            for obligation in obligations:
+                assert decoded.obligation_constraint(
+                    obligation
+                ) == encoding.obligation_constraint(obligation)
+
+    def test_staged_nodes_are_interned_once(self):
+        compiled = build_queue_model()
+        encodings = self._walk_encodings(compiled)
+        shared = ExprTable()
+        for encoding in encodings:
+            encode_encoding(encoding, shared)
+        separate = 0
+        for encoding in encodings:
+            table = ExprTable()
+            encode_encoding(encoding, table)
+            separate += len(table.nodes)
+        assert compiled.symbolic_kernel.staged_outcomes
+        assert len(shared.nodes) < separate
