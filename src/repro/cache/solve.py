@@ -191,10 +191,14 @@ class SolveCache:
         first-visit *markers* — a warm run recompiles the bundle, which
         is pinned bit-identical to interpreting), the contraction
         snapshots those bundles carried, and the one-step encodings.
-        LRU folds are emitted in eviction order so a restore reproduces
-        the original eviction behaviour exactly.  Export reads the LRUs
-        through :meth:`~repro.cache.lru.LRUCache.items` — no counter or
-        recency traffic, so exporting is pure observation.
+        Fingerprints and solve targets are stored once each, in the
+        ``fps`` and ``targets`` tables, and every fold refers to them by
+        index: a verdict is three ints ``fp, target, counts_failure`` in
+        one flat list, a marker two.  LRU folds are emitted in eviction
+        order so a restore reproduces the original eviction behaviour
+        exactly.  Export reads the LRUs through
+        :meth:`~repro.cache.lru.LRUCache.items` — no counter or recency
+        traffic, so exporting is pure observation.
         """
         from repro.store.codec import (
             ExprTable,
@@ -204,65 +208,50 @@ class SolveCache:
 
         fps: list = []
         fp_index: Dict[str, int] = {}
+        targets: list = []
+        target_index: Dict[object, int] = {}
 
-        def intern(fingerprint: str) -> int:
+        def fp(fingerprint: str) -> int:
             index = fp_index.get(fingerprint)
             if index is None:
-                index = len(fps)
+                index = fp_index[fingerprint] = len(fps)
                 fps.append(fingerprint)
-                fp_index[fingerprint] = index
             return index
 
-        verdicts = [
-            [
-                intern(fingerprint),
-                encode_target_key(target_key),
-                bool(counts_failure),
-            ]
-            for (fingerprint, target_key), counts_failure in self._dead.items()
-        ]
-        markers = []
+        def target(target_key) -> int:
+            index = target_index.get(target_key)
+            if index is None:
+                index = target_index[target_key] = len(targets)
+                targets.append(encode_target_key(target_key))
+            return index
+
+        def snapshot_row(key, contract_result) -> list:
+            feasible, snapshot = contract_result
+            box = {name: [iv.lo, iv.hi] for name, iv in snapshot.items()}
+            return [fp(key[0]), target(key[1]), bool(feasible), box]
+
+        verdicts: list = []
+        for (fingerprint, target_key), counts_failure in self._dead.items():
+            verdicts += (fp(fingerprint), target(target_key), int(counts_failure))
+        markers: list = []
         snapshots = []
-        for (fingerprint, target_key), entry in self.compiled.items():
-            encoded_key = encode_target_key(target_key)
-            markers.append([intern(fingerprint), encoded_key])
+        for key, entry in self.compiled.items():
+            markers += (fp(key[0]), target(key[1]))
             contract_result = getattr(entry, "contract_result", None)
             if contract_result is not None:
-                feasible, snapshot = contract_result
-                snapshots.append(
-                    [
-                        intern(fingerprint),
-                        encoded_key,
-                        bool(feasible),
-                        {
-                            name: [interval.lo, interval.hi]
-                            for name, interval in snapshot.items()
-                        },
-                    ]
-                )
+                snapshots.append(snapshot_row(key, contract_result))
         # Pending restored snapshots that were never consumed this run
         # are still valid — carry them forward instead of dropping them.
-        for (fingerprint, target_key), (feasible, snapshot) in (
-            self._restored_contraction.items()
-        ):
-            snapshots.append(
-                [
-                    intern(fingerprint),
-                    encode_target_key(target_key),
-                    bool(feasible),
-                    {
-                        name: [interval.lo, interval.hi]
-                        for name, interval in snapshot.items()
-                    },
-                ]
-            )
+        for key, contract_result in self._restored_contraction.items():
+            snapshots.append(snapshot_row(key, contract_result))
         table = ExprTable()
         items = [
-            [intern(fingerprint), encode_encoding(encoding, table)]
+            [fp(fingerprint), encode_encoding(encoding, table)]
             for fingerprint, encoding in self.encodings.items()
         ]
         return {
             "fps": fps,
+            "targets": targets,
             "verdicts": verdicts,
             "markers": markers,
             "snapshots": snapshots,
@@ -273,8 +262,10 @@ class SolveCache:
         """Load :meth:`export_folds` output; returns per-fold counts.
 
         Decode-then-apply: every artifact is decoded into staging lists
-        first, so a malformed payload raises *before* the cache mutates
-        and the caller can fall back to a fully cold start.
+        first — row widths, every table index and every element type are
+        checked — so a malformed payload raises *before* the cache
+        mutates and the caller can fall back to a fully cold start.  Each
+        target is decoded once and its object shared by all its rows.
         """
         from repro.solver.interval import Interval
         from repro.store.codec import (
@@ -285,35 +276,60 @@ class SolveCache:
         )
 
         fps = payload.get("fps", [])
-        if not isinstance(fps, list):
-            raise CodecError(f"malformed fps table {type(fps).__name__}")
+        if not isinstance(fps, list) or not all(
+            type(fingerprint) is str for fingerprint in fps
+        ):
+            raise CodecError("malformed fps table")
+        raw_targets = payload.get("targets", [])
+        if not isinstance(raw_targets, list):
+            raise CodecError(f"malformed targets table {type(raw_targets).__name__}")
+        targets = [decode_target_key(key) for key in raw_targets]
 
-        def fp(obj) -> str:
-            index = int(obj)
-            if not 0 <= index < len(fps):
-                raise CodecError(f"fingerprint index {obj!r} out of range")
-            return str(fps[index])
+        def columns(name: str, width: int) -> list:
+            """A flat int fold split into its ``width`` columns, with the
+            fingerprint and target columns resolved."""
+            flat = payload.get(name, [])
+            if not isinstance(flat, list) or len(flat) % width:
+                raise CodecError(f"malformed {name} fold")
+            if not set(map(type, flat)) <= {int}:
+                raise CodecError(f"non-int element in the {name} fold")
+            cols = [flat[offset::width] for offset in range(width)]
+            for col, table in zip(cols, (fps, targets)):
+                if col and (min(col) < 0 or max(col) >= len(table)):
+                    raise CodecError(f"{name} index out of range")
+            cols[0] = [fps[index] for index in cols[0]]
+            cols[1] = [targets[index] for index in cols[1]]
+            return cols
 
-        staged_verdicts = [
-            (fp(index), decode_target_key(key), bool(counts_failure))
-            for index, key, counts_failure in payload.get("verdicts", [])
-        ]
-        staged_markers = [
-            (fp(index), decode_target_key(key))
-            for index, key in payload.get("markers", [])
-        ]
-        staged_snapshots = [
-            (
-                fp(index),
-                decode_target_key(key),
-                bool(feasible),
-                {
-                    str(name): Interval(float(lo), float(hi))
-                    for name, (lo, hi) in snapshot.items()
-                },
+        def resolve(index, table, what):
+            if type(index) is not int or not 0 <= index < len(table):
+                raise CodecError(f"{what} index {index!r} out of range")
+            return table[index]
+
+        verdict_fps, verdict_targets, flags = columns("verdicts", 3)
+        if not set(flags) <= {0, 1}:
+            raise CodecError("verdict flags must be 0 or 1")
+        staged_verdicts = list(zip(zip(verdict_fps, verdict_targets), map(bool, flags)))
+        staged_markers = list(zip(*columns("markers", 2)))
+        raw_snapshots = payload.get("snapshots", [])
+        if not isinstance(raw_snapshots, list):
+            raise CodecError("malformed snapshots fold")
+        staged_snapshots = []
+        for row in raw_snapshots:
+            if not isinstance(row, list) or len(row) != 4:
+                raise CodecError(f"malformed snapshot row {row!r}")
+            index, key, feasible, box = row
+            if type(feasible) is not bool or not isinstance(box, dict):
+                raise CodecError(f"malformed snapshot row {row!r}")
+            snapshot = {
+                str(name): Interval(float(lo), float(hi))
+                for name, (lo, hi) in box.items()
+            }
+            key = (
+                resolve(index, fps, "fingerprint"),
+                resolve(key, targets, "target"),
             )
-            for index, key, feasible, snapshot in payload.get("snapshots", [])
-        ]
+            staged_snapshots.append((key, (feasible, snapshot)))
         raw_encodings = payload.get("encodings", {})
         if not isinstance(raw_encodings, dict):
             raise CodecError(
@@ -321,18 +337,17 @@ class SolveCache:
             )
         exprs = decode_expr_table(raw_encodings.get("table", []))
         staged_encodings = [
-            (fp(index), decode_encoding(encoded, compiled_model, exprs))
+            (
+                resolve(index, fps, "fingerprint"),
+                decode_encoding(encoded, compiled_model, exprs),
+            )
             for index, encoded in raw_encodings.get("items", [])
         ]
         if self.verdicts_enabled:
-            for fingerprint, target_key, counts_failure in staged_verdicts:
-                self._dead[(fingerprint, target_key)] = counts_failure
-        for fingerprint, target_key in staged_markers:
-            self.compiled.put((fingerprint, target_key), _FIRST_VISIT)
-        for fingerprint, target_key, feasible, snapshot in staged_snapshots:
-            self._restored_contraction[(fingerprint, target_key)] = (
-                feasible, snapshot,
-            )
+            self._dead.update(staged_verdicts)
+        for key in staged_markers:
+            self.compiled.put(key, _FIRST_VISIT)
+        self._restored_contraction.update(staged_snapshots)
         for fingerprint, encoding in staged_encodings:
             self.encodings.put(fingerprint, encoding)
         return {
@@ -361,6 +376,7 @@ class SolveCache:
         self.encodings.clear()
         self.compiled.clear()
         self._dead.clear()
+        self._restored_contraction.clear()
 
     def __repr__(self) -> str:
         return (

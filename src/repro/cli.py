@@ -131,7 +131,7 @@ def _parser() -> argparse.ArgumentParser:
     gen.add_argument(
         "--store", default="", metavar="DIR",
         help="STCG-family only: persistent warm-start store directory "
-             "(repro.store/1); verdicts, compiled-bundle markers, "
+             "(repro.store/2); verdicts, compiled-bundle markers, "
              "contraction snapshots and encodings persist across runs",
     )
     _add_exec_flags(gen)
@@ -166,7 +166,7 @@ def _parser() -> argparse.ArgumentParser:
     )
     fuzz.add_argument(
         "--store", default="", metavar="DIR",
-        help="persistent warm-start store directory (repro.store/1); "
+        help="persistent warm-start store directory (repro.store/2); "
              "solver state and the retained corpus persist across runs",
     )
     fuzz.add_argument("--out", help="write the suite text export here")
@@ -201,7 +201,7 @@ def _parser() -> argparse.ArgumentParser:
     )
     t3.add_argument(
         "--store", default="", metavar="DIR",
-        help="persistent warm-start store directory (repro.store/1) for "
+        help="persistent warm-start store directory (repro.store/2) for "
              "every STCG-family cell; keys are scoped per cell, so "
              "parallel workers never contend",
     )

@@ -174,14 +174,15 @@ class StateTree:
     def __iter__(self) -> Iterator[StateTreeNode]:
         return iter(self._nodes)
 
-    def solve_nodes(self) -> Iterator[StateTreeNode]:
-        """Nodes Algorithm 1 scans, in insertion order.
+    def solve_nodes(self, start: int = 0) -> Iterator[StateTreeNode]:
+        """Nodes Algorithm 1 scans, in insertion order, from ``start``.
 
         Under dedup this yields one node per distinct state fingerprint
         (the canonical node); with ``dedup=False`` it yields every node,
-        matching the naive scan.
+        matching the naive scan.  The list is append-only, so a position
+        stays valid forever and resuming from it costs only the tail.
         """
-        return iter(self._solve_nodes)
+        return iter(self._solve_nodes[start:])
 
     def unique_states(self) -> int:
         """Number of distinct state fingerprints in the tree."""

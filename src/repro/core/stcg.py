@@ -146,6 +146,10 @@ class StcgGenerator:
         )
         #: Failed solver attempts per target (branch id / obligation).
         self._failures: Dict[object, int] = {}
+        #: Algorithm 1's scan position per target key: the index of the
+        #: target's first solve node not known to be solved (see
+        #: :meth:`_unsolved_nodes`).
+        self._frontier: Dict[object, int] = {}
         self.collector = CoverageCollector(compiled.registry)
         #: Objective-level coverage provenance (``repro.provenance/1``).
         #: Pure observation — never feeds back into the algorithm.
@@ -299,11 +303,13 @@ class StcgGenerator:
         for branch in self._branches:
             if self.collector.is_branch_covered(branch):
                 continue
-            if branch.branch_id in self.proven_dead:
+            branch_id = branch.branch_id
+            if branch_id in self.proven_dead:
                 continue
-            for node in self.tree.solve_nodes():
-                if node.is_solved(branch.branch_id):
-                    continue
+            for node in self._unsolved_nodes(
+                ("branch", branch_id),
+                lambda node: branch_id in node.solved_branches,
+            ):
                 if self._out_of_time():
                     return None
                 target = self._solve_pair(node, branch)
@@ -312,15 +318,36 @@ class StcgGenerator:
         # Branch obligations exhausted for now; work on condition / MCDC
         # obligations ("all the coverage requirements" of the paper).
         for obligation in self.collector.unsatisfied_condition_obligations():
-            for node in self.tree.solve_nodes():
-                if obligation in node.solved_obligations:
-                    continue
+            for node in self._unsolved_nodes(
+                ("obligation", obligation),
+                lambda node: obligation in node.solved_obligations,
+            ):
                 if self._out_of_time():
                     return None
                 target = self._solve_obligation(node, obligation)
                 if target is not None:
                     return target
         return None
+
+    def _unsolved_nodes(self, target_key, is_solved):
+        """The solve nodes not yet solved for ``target_key``, in order.
+
+        Resumes from the target's frontier: the position of its first
+        node not known to be solved.  Solve nodes are append-only and
+        solved sets only grow, so every node before the frontier is still
+        solved and a rescan from node 0 would skip exactly those nodes.
+        The frontier parks on each node it yields, so a caller that stops
+        before attempting it (out of time) finds it again next scan; an
+        attempt marks the node solved, and the walk then moves past it.
+        """
+        frontier = self._frontier
+        position = frontier.get(target_key, 0)
+        for node in self.tree.solve_nodes(position):
+            if not is_solved(node):
+                frontier[target_key] = position
+                yield node
+            position += 1
+        frontier[target_key] = position
 
     def _solve_pair(
         self, node: StateTreeNode, branch: Branch

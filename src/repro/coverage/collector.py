@@ -15,6 +15,7 @@ targets STCG solves for:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, List, Set, Tuple
 
 from repro.coverage.mcdc import determines, mcdc_covered_atoms
@@ -123,19 +124,22 @@ class CoverageCollector:
 
     # -- obligations --------------------------------------------------------------
 
+    @cached_property
+    def _obligations(self) -> Tuple[ConditionObligation, ...]:
+        """Every value/mcdc obligation, built once on first use: the
+        registry is immutable, and the solver scan keys its frontier and
+        solved sets by these very objects."""
+        return tuple(
+            ConditionObligation(point.point_id, atom, polarity, determining)
+            for determining in (False, True)
+            for point in self._registry.condition_points
+            for atom in range(point.n_atoms)
+            for polarity in (True, False)
+        )
+
     def all_condition_obligations(self) -> List[ConditionObligation]:
         """Every value/mcdc obligation of the model, value ones first."""
-        obligations: List[ConditionObligation] = []
-        for determining in (False, True):
-            for point in self._registry.condition_points:
-                for atom in range(point.n_atoms):
-                    for polarity in (True, False):
-                        obligations.append(
-                            ConditionObligation(
-                                point.point_id, atom, polarity, determining
-                            )
-                        )
-        return obligations
+        return list(self._obligations)
 
     def is_obligation_satisfied(self, obligation: ConditionObligation) -> bool:
         if obligation.determining:
@@ -149,8 +153,7 @@ class CoverageCollector:
 
     def unsatisfied_condition_obligations(self) -> List[ConditionObligation]:
         return [
-            o for o in self.all_condition_obligations()
-            if not self.is_obligation_satisfied(o)
+            o for o in self._obligations if not self.is_obligation_satisfied(o)
         ]
 
     # -- metrics ---------------------------------------------------------------

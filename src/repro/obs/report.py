@@ -379,7 +379,7 @@ def _section_tree_growth(events) -> List[str]:
 
 
 def _section_store(events) -> List[str]:
-    lines = ["warm-start store (repro.store/1)",
+    lines = ["warm-start store (repro.store/2)",
              "--------------------------------"]
     store_events = _of_kind(events, "store_stats")
     if not store_events:

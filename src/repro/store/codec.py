@@ -235,13 +235,19 @@ class ExprTable:
     table pins every encoded node alive (``_keep``), so an ``id`` can
     never be recycled while the table exists.  Two structurally equal
     but distinct objects simply encode twice — a size, never a
-    correctness, concern.  Digests must NOT use tables for exactly that
-    reason: sharing structure varies run to run, content does not.
+    correctness, concern — except for constants, about half of all
+    nodes, which are also interned by content.  Their key is the
+    expression type plus the value's Python type and ``repr``, so
+    ``True``/``1``/``1.0``, ``0.0``/``-0.0``, ``nan`` and ``±inf`` stay
+    distinct nodes.
+    Digests must NOT use tables: sharing structure varies run to run,
+    content does not.
     """
 
     def __init__(self) -> None:
         self.nodes: List[list] = []
         self._index: Dict[int, int] = {}
+        self._consts: Dict[tuple, int] = {}
         self._keep: List[Expr] = []
 
     def add(self, expr: Expr) -> int:
@@ -249,8 +255,11 @@ class ExprTable:
         index = self._index.get(id(expr))
         if index is not None:
             return index
+        const_key = None
         if isinstance(expr, Const):
             node = ["c", encode_value(expr.value), encode_type(expr.ty)]
+            const_key = (expr.ty, type(expr.value), repr(expr.value))
+            index = self._consts.get(const_key)
         elif isinstance(expr, Var):
             node = ["v", expr.name, encode_type(expr.ty), expr.lo, expr.hi]
         elif isinstance(expr, Unary):
@@ -290,8 +299,11 @@ class ExprTable:
             raise CodecError(
                 f"unencodable expression node {type(expr).__name__}"
             )
-        self.nodes.append(node)
-        index = len(self.nodes) - 1
+        if index is None:
+            self.nodes.append(node)
+            index = len(self.nodes) - 1
+            if const_key is not None:
+                self._consts[const_key] = index
         self._index[id(expr)] = index
         self._keep.append(expr)
         return index
@@ -375,19 +387,22 @@ def encode_target_key(target_key) -> List:
 
 
 def decode_target_key(obj) -> Tuple[str, object]:
+    """Decode :func:`encode_target_key` output; ids must be ints and
+    obligation flags bools, exactly as encoded."""
     from repro.coverage.collector import ConditionObligation
 
-    if not isinstance(obj, list) or not obj:
-        raise CodecError(f"malformed target key {obj!r}")
-    if obj[0] == "b" and len(obj) == 2:
-        return ("branch", int(obj[1]))
-    if obj[0] == "o" and len(obj) == 5:
-        return (
-            "obligation",
-            ConditionObligation(
-                int(obj[1]), int(obj[2]), bool(obj[3]), bool(obj[4])
-            ),
-        )
+    if isinstance(obj, list) and obj:
+        if obj[0] == "b" and len(obj) == 2 and type(obj[1]) is int:
+            return ("branch", obj[1])
+        if (
+            obj[0] == "o"
+            and len(obj) == 5
+            and type(obj[1]) is int
+            and type(obj[2]) is int
+            and type(obj[3]) is bool
+            and type(obj[4]) is bool
+        ):
+            return ("obligation", ConditionObligation(*obj[1:]))
     raise CodecError(f"malformed target key {obj!r}")
 
 

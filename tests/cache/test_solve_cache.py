@@ -97,3 +97,46 @@ class TestStatsAndClear:
         built = []
         cache.encoding("fp", lambda: built.append(1))
         assert built == [1]
+
+
+class TestClearDropsRestoredState:
+    """A cleared cache must not carry restored contraction snapshots
+    into its next export or into bundles it compiles later."""
+
+    @staticmethod
+    def _restored_cache():
+        from repro.solver.interval import Interval
+        from tests.conftest import build_counter_model
+
+        donor = SolveCache("M")
+        donor._restored_contraction[("fp0", ("branch", 1))] = (
+            True,
+            {"x": Interval(0.0, 4.0)},
+        )
+        donor.mark_dead("fp0", ("branch", 2), counts_failure=True)
+        donor.compiled_constraint("fp0", ("branch", 3), lambda: None)
+        cache = SolveCache("M")
+        counts = cache.restore_folds(donor.export_folds(), build_counter_model())
+        assert counts["snapshots"] == counts["verdicts"] == 1
+        assert counts["markers"] == 1
+        return cache
+
+    def test_export_after_clear_holds_nothing(self):
+        cache = self._restored_cache()
+        cache.clear()
+        folds = cache.export_folds()
+        assert folds["snapshots"] == []
+        assert folds["verdicts"] == []
+        assert folds["markers"] == []
+
+    def test_bundle_compiled_after_clear_has_no_restored_contraction(self):
+        class Bundle:
+            contract_result = None
+
+        cache = self._restored_cache()
+        cache.clear()
+        key = ("fp0", ("branch", 1))
+        assert cache.compiled_constraint(*key, Bundle) is None
+        bundle = cache.compiled_constraint(*key, Bundle)
+        assert isinstance(bundle, Bundle)
+        assert bundle.contract_result is None

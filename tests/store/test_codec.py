@@ -125,10 +125,13 @@ class TestExprTable:
         table.add(left)
         before = len(table.nodes)
         table.add(right)
-        # `x` is shared by identity, so only the new nodes land.
+        # `x` is shared by identity and the two equal `Const(1)`s by
+        # content, so only the new `sub` node lands.
+        assert len(table.nodes) == before + 1
         decoded = decode_expr_table(table.nodes)
-        assert decoded[before + 1] == right or right in decoded
+        assert decoded[-1] == right
         assert table.nodes.count(["v", "x", "int", 0, 10]) == 1
+        assert table.nodes.count(["c", 1, "int"]) == 1
 
     def test_decoded_references_are_shared_objects(self):
         x = Var("x", INT, 0, 10)
@@ -275,3 +278,101 @@ class TestSharedEncodingTable:
             separate += len(table.nodes)
         assert compiled.symbolic_kernel.staged_outcomes
         assert len(shared.nodes) < separate
+
+
+class TestConstInterning:
+    """Equal constants share one table node; constants that compare equal
+    in Python but encode or behave differently stay apart."""
+
+    PAIRS = [
+        (Const(True, BOOL), Const(1, INT)),
+        (Const(1, INT), Const(1.0, REAL)),
+        (Const(True, BOOL), Const(1.0, REAL)),
+        (Const(0.0, REAL), Const(-0.0, REAL)),
+        (Const(math.nan, REAL), Const(math.inf, REAL)),
+        (Const(math.inf, REAL), Const(-math.inf, REAL)),
+        (Const((1, 2), ArrayType(INT, 2)), Const((1.0, 2.0), ArrayType(REAL, 2))),
+    ]
+
+    @staticmethod
+    def _same(decoded, original):
+        """Structural equality that also tells -0.0 and NaN apart."""
+        return encode_expr(decoded) == encode_expr(original) and repr(
+            decoded.value
+        ) == repr(original.value)
+
+    @pytest.mark.parametrize("left,right", PAIRS)
+    def test_distinct_values_keep_distinct_nodes(self, left, right):
+        table = ExprTable()
+        # Fresh equal copies must land on the same two nodes.
+        indices = [
+            table.add(expr)
+            for expr in (left, right, Const(left.value, left.ty),
+                         Const(right.value, right.ty))
+        ]
+        assert len(table.nodes) == 2
+        assert indices == [0, 1, 0, 1]
+        decoded = decode_expr_table(table.nodes)
+        assert self._same(decoded[0], left)
+        assert self._same(decoded[1], right)
+        assert type(decoded[0].value) is type(left.value)
+        assert type(decoded[1].value) is type(right.value)
+
+    def test_cputask_encodings_round_trip_with_a_smaller_table(self):
+        from repro.coverage.collector import CoverageCollector
+        from repro.models.registry import get_benchmark
+
+        compiled = get_benchmark("CPUTask").build()
+        encodings = TestSharedEncodingTable._walk_encodings(compiled)
+        table = ExprTable()
+        payloads = [encode_encoding(e, table) for e in encodings]
+        by_identity = ExprTable()
+        by_identity._consts = _NeverInterned()
+        for encoding in encodings:
+            encode_encoding(encoding, by_identity)
+        assert len(table.nodes) < len(by_identity.nodes)
+        exprs = decode_expr_table(table.nodes)
+        obligations = CoverageCollector(
+            compiled.registry
+        ).all_condition_obligations()
+        for encoding, payload in zip(encodings, payloads):
+            decoded = decode_encoding(payload, compiled, exprs)
+            for branch in compiled.registry.branches:
+                assert encode_expr(decoded.path_constraint(branch)) == (
+                    encode_expr(encoding.path_constraint(branch))
+                )
+            for obligation in obligations:
+                assert encode_expr(
+                    decoded.obligation_constraint(obligation)
+                ) == encode_expr(encoding.obligation_constraint(obligation))
+
+
+class _NeverInterned(dict):
+    """A constant memo that forgets every entry: the identity-only table
+    of earlier layouts, as a size baseline."""
+
+    def __setitem__(self, key, value):
+        pass
+
+
+#: ``model_digest`` of every registry model.  The store layout may change
+#: (a schema bump retires old documents); these digests may not, since
+#: they are computed from the model and its one-step encoding alone.
+MODEL_DIGESTS = {
+    "CPUTask": "bd25fe597787256c976bb80e51b828521c26ca964cb93ffc61153e5f322524d3",
+    "AFC": "490c7ea5800079d2dbe53c0bc6c5468a89f4c256f7c8862092509b3028146c73",
+    "TWC": "932260bc26635f88150cb7afaeb50b87cfa75c05e82c8a18a1b1bb57a6ae263f",
+    "NICProtocol": "db83fedb2a479438d46fa21ca82ba5218bfb8bd28866e11b04153c056badfd9f",
+    "UTPC": "404b3cb1861c80bfd99d36552c977816109a101efbccd139d28d99cd9c6ed643",
+    "LANSwitch": "ba01c1f3bfa94447fab8da8e283d3224f203f0b7df2741a5e015d78fa1e86bd7",
+    "LEDLC": "087a783360c752bc9f15e9e5e0de8a5dd28e6034955c7f0fc1546583d7ba7de7",
+    "TCP": "2063c9170030591a2ea83e365b9037c96e162311b63249c956d71732f3b036ad",
+}
+
+
+@pytest.mark.parametrize("name", sorted(MODEL_DIGESTS))
+def test_model_digest_is_pinned(name):
+    from repro.models.registry import get_benchmark
+    from repro.store import model_digest
+
+    assert model_digest(get_benchmark(name).build()) == MODEL_DIGESTS[name]

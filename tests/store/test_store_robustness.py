@@ -202,6 +202,180 @@ class TestCorruption:
         _expect_cold_fallback(tmp_path, cold_suite)
 
 
+class TestTargetTableLayout:
+    """``repro.store/2`` folds refer to the ``fps`` and ``targets`` tables
+    by index; every way an index, a row or a table can be wrong must
+    degrade to an exactly-cold run."""
+
+    @staticmethod
+    def _cold(tmp_path):
+        _, cold = _run(tmp_path)
+        (name,) = _store_files(tmp_path)
+        with open(os.path.join(str(tmp_path), name)) as handle:
+            folds = json.load(handle)["payload"]["cache"]
+        assert folds["verdicts"] and folds["targets"]
+        return [c.inputs for c in cold.suite]
+
+    @staticmethod
+    def _tamper_folds(tmp_path, edit):
+        def mutate(doc):
+            edit(doc["payload"]["cache"])
+            return json.dumps(doc)
+
+        _corrupt(tmp_path, mutate)
+
+    def test_layout_is_flat_int_rows_over_tables(self, tmp_path):
+        _run(tmp_path)
+        (name,) = _store_files(tmp_path)
+        with open(os.path.join(str(tmp_path), name)) as handle:
+            document = json.load(handle)
+        assert document["schema"] == STORE_SCHEMA == "repro.store/2"
+        folds = document["payload"]["cache"]
+        assert len(folds["verdicts"]) % 3 == 0
+        assert all(type(x) is int for x in folds["verdicts"])
+        assert len(folds["markers"]) % 2 == 0
+        keys = [json.dumps(key) for key in folds["targets"]]
+        assert len(set(keys)) == len(keys)  # each target stored once
+
+    def test_verdict_length_not_a_multiple_of_three(self, tmp_path):
+        cold = self._cold(tmp_path)
+        self._tamper_folds(
+            tmp_path, lambda f: f.update(verdicts=f["verdicts"][:-1])
+        )
+        _expect_cold_fallback(tmp_path, cold)
+
+    def test_target_index_out_of_range(self, tmp_path):
+        cold = self._cold(tmp_path)
+
+        def edit(folds):
+            folds["verdicts"][1] = len(folds["targets"])
+
+        self._tamper_folds(tmp_path, edit)
+        _expect_cold_fallback(tmp_path, cold)
+
+    def test_negative_target_index(self, tmp_path):
+        cold = self._cold(tmp_path)
+
+        def edit(folds):
+            folds["verdicts"][-2] = -1
+
+        self._tamper_folds(tmp_path, edit)
+        _expect_cold_fallback(tmp_path, cold)
+
+    def test_fingerprint_index_out_of_range(self, tmp_path):
+        cold = self._cold(tmp_path)
+
+        def edit(folds):
+            folds["verdicts"][-3] = len(folds["fps"])
+
+        self._tamper_folds(tmp_path, edit)
+        _expect_cold_fallback(tmp_path, cold)
+
+    @pytest.mark.parametrize("element", [True, 1.0, "0", None, [0]])
+    def test_non_int_row_element(self, tmp_path, element):
+        cold = self._cold(tmp_path)
+
+        def edit(folds):
+            folds["verdicts"][2] = element
+
+        self._tamper_folds(tmp_path, edit)
+        _expect_cold_fallback(tmp_path, cold)
+
+    def test_verdict_flag_out_of_range(self, tmp_path):
+        cold = self._cold(tmp_path)
+
+        def edit(folds):
+            folds["verdicts"][2] = 2
+
+        self._tamper_folds(tmp_path, edit)
+        _expect_cold_fallback(tmp_path, cold)
+
+    @pytest.mark.parametrize(
+        "entry", [["o", 1], ["b", "1"], ["o", 0, 0, 1, 0], "b", ["x", 1], []]
+    )
+    def test_malformed_targets_entry(self, tmp_path, entry):
+        cold = self._cold(tmp_path)
+
+        def edit(folds):
+            folds["targets"][0] = entry
+
+        self._tamper_folds(tmp_path, edit)
+        _expect_cold_fallback(tmp_path, cold)
+
+    def test_non_list_targets(self, tmp_path):
+        cold = self._cold(tmp_path)
+
+        def edit(folds):
+            folds["targets"] = {
+                str(i): key for i, key in enumerate(folds["targets"])
+            }
+
+        self._tamper_folds(tmp_path, edit)
+        _expect_cold_fallback(tmp_path, cold)
+
+    def test_marker_index_out_of_range(self, tmp_path):
+        cold = self._cold(tmp_path)
+
+        def edit(folds):
+            folds["markers"] = [0, len(folds["targets"])]
+
+        self._tamper_folds(tmp_path, edit)
+        _expect_cold_fallback(tmp_path, cold)
+
+    def test_round_trip_keeps_every_order(self):
+        """``_dead`` in insertion order, markers in LRU order and the
+        snapshots all come back exactly, through JSON."""
+        from repro.coverage.collector import ConditionObligation
+        from repro.solver.interval import Interval
+
+        ob = ConditionObligation(2, 1, False, True)
+        donor = SolveCache("M", compiled_capacity=8)
+        dead = [
+            (("fp2", ("obligation", ob)), True),
+            (("fp0", ("branch", 4)), False),
+            (("fp1", ("obligation", ob)), False),
+            (("fp0", ("branch", 1)), True),
+            (("fp2", ("branch", 4)), True),
+        ]
+        for (fingerprint, key), counts_failure in dead:
+            donor.mark_dead(fingerprint, key, counts_failure=counts_failure)
+        markers = [("fp1", ("branch", 7)), ("fp0", ("obligation", ob)),
+                   ("fp3", ("branch", 4))]
+        for fingerprint, key in markers:
+            donor.compiled_constraint(fingerprint, key, lambda: None)
+        # Touch the first marker again: it becomes most recently used.
+        donor.compiled.get(markers[0])
+        snapshots = {
+            ("fp3", ("obligation", ob)): (False, {"u": Interval(-1.5, 2.0)}),
+            ("fp0", ("branch", 1)): (True, {"x": Interval(0.0, 4.0)}),
+        }
+        donor._restored_contraction.update(snapshots)
+        folds = json.loads(json.dumps(donor.export_folds()))
+        assert len(folds["targets"]) == 4
+
+        restored = SolveCache("M", compiled_capacity=8)
+        counts = restored.restore_folds(folds, build_counter_model())
+        assert counts == {
+            "verdicts": 5, "markers": 3, "snapshots": 2, "encodings": 0,
+        }
+        assert list(restored._dead.items()) == dead
+        assert [k for k, _ in restored.compiled.items()] == (
+            markers[1:] + markers[:1]
+        )
+        assert {
+            key: (feasible, {n: (i.lo, i.hi) for n, i in box.items()})
+            for key, (feasible, box) in restored._restored_contraction.items()
+        } == {
+            ("fp3", ("obligation", ob)): (False, {"u": (-1.5, 2.0)}),
+            ("fp0", ("branch", 1)): (True, {"x": (0.0, 4.0)}),
+        }
+        # One object per target, shared by every row that names it.
+        obligation_keys = [
+            key for (_, key) in restored._dead if key[0] == "obligation"
+        ]
+        assert obligation_keys[0][1] is obligation_keys[1][1]
+
+
 def _threshold_model(threshold):
     """build_counter_model with a configurable guard constant."""
     b = ModelBuilder("Counter")
