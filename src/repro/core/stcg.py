@@ -126,14 +126,19 @@ class StcgGenerator:
             "stcg.case_length", CASE_LENGTH_BOUNDS
         )
         self._rng = random.Random(self.config.seed)
-        self._engine = SolverEngine(self.config.solver, self.metrics, timed=timed)
+        kernel = self.config.kernels.solver
+        self._engine = SolverEngine(
+            self.config.solver, self.metrics, timed=timed, kernel=kernel
+        )
         lite = SolverConfig(
             max_samples=12,
             avm_evaluations=80,
             time_budget_s=min(0.03, self.config.solver.time_budget_s),
             seed=self.config.seed,
         )
-        self._lite_engine = SolverEngine(lite, self.metrics, timed=timed)
+        self._lite_engine = SolverEngine(
+            lite, self.metrics, timed=timed, kernel=kernel
+        )
         #: Solver-kernel compiler (:mod:`repro.solverc`), or None when
         #: ``config.kernels.solver`` is off.  Compiled bundles are cached
         #: in :attr:`cache` keyed by (state fingerprint, target), and the
@@ -397,7 +402,7 @@ class StcgGenerator:
                 result.status.value,
                 result.stats.stage,
                 "lite" if engine is self._lite_engine else "full",
-                compiled is not None,
+                result.stats.compiled,
             )
         self._note_outcome(target_key, result.status is Status.SAT)
         if result.status is not Status.SAT:
@@ -459,7 +464,7 @@ class StcgGenerator:
                 result.status.value,
                 result.stats.stage,
                 "lite" if engine is self._lite_engine else "full",
-                compiled is not None,
+                result.stats.compiled,
             )
         self._note_outcome(target_key, result.status is Status.SAT)
         if result.status is not Status.SAT:
@@ -513,10 +518,11 @@ class StcgGenerator:
         fingerprint, target), so the compiled artifacts — and the
         contraction result they memoize — replay exactly on a repeat
         visit of the same (state, target) cell.  First visits return
-        None (pure interpreter): most pairs are solved exactly once, and
-        compiling for them costs more than it saves.  ``contractor=False``
-        because the bundle's contraction *snapshot* — recorded on the
-        interpreted first use — already covers every later visit.
+        None: most pairs are solved exactly once, so they get no bundle,
+        and the kernel engine compiles just the scalar objective of a
+        solve that passes contraction.  ``contractor=False`` because the
+        bundle's contraction *snapshot* — recorded on the interpreted
+        first use — already covers every later visit.
         """
         if self._compiler is None:
             return None

@@ -11,12 +11,17 @@
 * the same errors with the same messages (``EvalError`` for unbound
   variables and out-of-range array indices).
 
-What is dropped is the evaluator's per-call memoization of shared
-sub-DAGs.  Expressions are pure, so re-evaluating a shared subtree can only
-change cost, never the value; chart guards and actions — the only
-expressions the kernel compiles — are small parsed trees without sharing.
-Any node type this compiler does not recognize compiles to a closure that
-defers the whole subtree to the interpreter, keeping equivalence trivial.
+The evaluator memoizes every node by identity for one call, so a sub-DAG
+reached from several parents is computed once.  The plain mode drops that
+memo: chart guards and actions, which the simulation kernel compiles, are
+small parsed trees without sharing.  The *share-aware* mode
+(``compile_expr(expr, shared)`` with a :class:`SharedDag`) keeps it in
+closure form for the solver's one-step constraints, which share heavily:
+each unique node is compiled once, and a node with more than one parent
+reads a per-evaluation memo.  Expressions are pure, so either way only
+cost changes, never a value.  Any node type this compiler does not
+recognize compiles to a closure that defers the whole subtree to the
+interpreter, keeping equivalence trivial.
 
 **Symbolic.** :func:`compile_substitution` turns a tree into a
 ``fn(bindings) -> Expr`` closure whose result is structurally equal to
@@ -32,7 +37,7 @@ from __future__ import annotations
 
 import math
 import operator
-from typing import Callable, Dict, List, Mapping, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, Mapping, Optional, Tuple
 
 from repro.errors import EvalError
 from repro.expr import ast, semantics
@@ -90,8 +95,104 @@ def _interpreted(expr: Expr) -> CompiledExpr:
     return lambda env: evaluate(expr, env)
 
 
-def compile_expr(expr: Expr) -> CompiledExpr:
-    """Compile ``expr`` into a closure equivalent to ``evaluate(expr, env)``."""
+def compile_expr(
+    expr: Expr, shared: Optional[SharedDag] = None
+) -> CompiledExpr:
+    """Compile ``expr`` into a closure equivalent to ``evaluate(expr, env)``.
+
+    With ``shared`` the compile is share-aware (see :class:`SharedDag`).
+    """
+    if shared is not None:
+        return shared.compile(expr)
+    return _compile_node(expr, compile_expr)
+
+
+class SharedDag:
+    """Share-aware compile state: the evaluator's memo in closure form.
+
+    Built over the roots a caller will compile (each listed occurrence is
+    one parent reference), it counts the parent references of every
+    unique node below them.  :meth:`compile` then compiles each unique
+    node once, memoized by identity, so compiling is linear in the number
+    of unique nodes; and a non-leaf node with more than one parent reads
+    a per-evaluation memo.  An evaluation is one call of a closure wrapped
+    by :meth:`entry`, which bumps the counter the memos key on.
+
+    Laziness is the evaluator's: AND/OR/IMPLIES short-circuit and the
+    unselected ITE branch is never computed, so a shared node is computed
+    on first need only.  A node that raises leaves no memo entry and
+    raises again on its next read, as an unmemoized ``Evaluator`` node
+    does.
+    """
+
+    __slots__ = ("closures", "_parents", "_epoch")
+
+    def __init__(self, roots: Iterable[Expr]):
+        #: ``id(node) -> closure``: one per unique compiled node.
+        self.closures: Dict[int, CompiledExpr] = {}
+        #: ``id(node) -> parent references`` over the unique DAG.
+        self._parents: Dict[int, int] = {}
+        self._epoch = [0]
+        parents = self._parents
+        seen = set()
+        stack = list(roots)
+        for root in stack:
+            parents[id(root)] = parents.get(id(root), 0) + 1
+        while stack:
+            node = stack.pop()
+            if id(node) in seen:
+                continue
+            seen.add(id(node))
+            for child in node.children:
+                parents[id(child)] = parents.get(id(child), 0) + 1
+                stack.append(child)
+
+    def compile(self, expr: Expr) -> CompiledExpr:
+        """The closure of ``expr``, compiled on its first request."""
+        key = id(expr)
+        fn = self.closures.get(key)
+        if fn is None:
+            fn = _compile_node(expr, self.compile)
+            if self._parents.get(key, 0) > 1 and not isinstance(
+                expr, (Const, Var)
+            ):
+                fn = self.memoize(fn)
+            self.closures[key] = fn
+        return fn
+
+    def memoize(self, fn: Callable) -> Callable:
+        """``fn`` computed at most once per evaluation (unless it raises)."""
+        epoch = self._epoch
+        seen = -1
+        value = None
+
+        def memo(env):
+            nonlocal seen, value
+            now = epoch[0]
+            if seen == now:
+                return value
+            result = fn(env)
+            seen = now
+            value = result
+            return result
+
+        return memo
+
+    def entry(self, fn: Callable) -> Callable:
+        """``fn`` as one evaluation: every call starts with fresh memos."""
+        epoch = self._epoch
+
+        def evaluation(env):
+            epoch[0] += 1
+            return fn(env)
+
+        return evaluation
+
+
+def _compile_node(
+    expr: Expr, sub: Callable[[Expr], CompiledExpr]
+) -> CompiledExpr:
+    """One node's closure; ``sub`` compiles its children."""
     if isinstance(expr, Const):
         value = expr.value
         return lambda env: value
@@ -111,13 +212,13 @@ def compile_expr(expr: Expr) -> CompiledExpr:
         fn = _UNARY.get(expr.op)
         if fn is None:
             return _interpreted(expr)
-        arg = compile_expr(expr.arg)
+        arg = sub(expr.arg)
         conv = _converter(expr.ty)
         return lambda env: conv(fn(arg(env)))
     if isinstance(expr, Binary):
         op = expr.op
-        left = compile_expr(expr.left)
-        right = compile_expr(expr.right)
+        left = sub(expr.left)
+        right = sub(expr.right)
         if op == ast.AND:
             return lambda env: bool(right(env)) if left(env) else False
         if op == ast.OR:
@@ -130,14 +231,14 @@ def compile_expr(expr: Expr) -> CompiledExpr:
         conv = _converter(expr.ty)
         return lambda env: conv(fn(left(env), right(env)))
     if isinstance(expr, Ite):
-        cond = compile_expr(expr.cond)
-        then = compile_expr(expr.then)
-        orelse = compile_expr(expr.orelse)
+        cond = sub(expr.cond)
+        then = sub(expr.then)
+        orelse = sub(expr.orelse)
         conv = _converter(expr.ty)
         return lambda env: conv(then(env)) if cond(env) else conv(orelse(env))
     if isinstance(expr, Select):
-        array_fn = compile_expr(expr.array)
-        index_fn = compile_expr(expr.index)
+        array_fn = sub(expr.array)
+        index_fn = sub(expr.index)
 
         def select_fn(env):
             array = array_fn(env)
@@ -150,9 +251,9 @@ def compile_expr(expr: Expr) -> CompiledExpr:
 
         return select_fn
     if isinstance(expr, Store):
-        array_fn = compile_expr(expr.array)
-        index_fn = compile_expr(expr.index)
-        value_fn = compile_expr(expr.value)
+        array_fn = sub(expr.array)
+        index_fn = sub(expr.index)
+        value_fn = sub(expr.value)
 
         def store_fn(env):
             array = list(array_fn(env))

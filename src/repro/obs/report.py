@@ -327,9 +327,13 @@ def _section_solverc(events) -> List[str]:
     snapshots = _snapshots(events)
     if not snapshots:
         return lines + [_NO_METRICS, ""]
+    # compiled/batched/scalar/cached: second-visit bundles and their
+    # candidates (batch tape vs one at a time) and replayed contractions;
+    # avm: AVM descents on the compiled objective / on the interpreter,
+    # first visits included.
     lines.append(
         f"  {'cell':<28s} {'state':>8s} {'compiled':>8s} "
-        f"{'batched':>8s} {'scalar':>7s} {'cached':>7s}"
+        f"{'batched':>8s} {'scalar':>7s} {'cached':>7s} {'avm c/i':>9s}"
     )
     for key, snapshot in snapshots:
         def count(name: str) -> int:
@@ -338,11 +342,13 @@ def _section_solverc(events) -> List[str]:
         enabled = bool(_gauge(snapshot, "solverc.enabled"))
         batched = count("candidates_batched") + count("case_batched")
         scalar = count("candidates_scalar") + count("case_interpreted")
+        avm = f"{count('avm_compiled')}/{count('avm_interpreted')}"
         lines.append(
             f"  {_cell_label(key):<28s} "
             f"{'on' if enabled else 'off':>8s} "
             f"{count('constraints_compiled'):>8d} "
-            f"{batched:>8d} {scalar:>7d} {count('contract_cached'):>7d}"
+            f"{batched:>8d} {scalar:>7d} {count('contract_cached'):>7d} "
+            f"{avm:>9s}"
         )
         fallbacks = {
             name: count(name)

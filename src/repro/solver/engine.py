@@ -29,7 +29,11 @@ from repro.solver.box import Box
 from repro.solver.contractor import Contractor
 from repro.solver.sampler import corner_points, sample_point
 from repro.solver.splitter import split_cases
-from repro.solverc.compiler import CompiledConstraint, solverc_counters
+from repro.solverc.compiler import (
+    CompiledConstraint,
+    scalar_objective,
+    solverc_counters,
+)
 
 
 class Status(enum.Enum):
@@ -61,11 +65,14 @@ class SolveStats:
 
     ``stage`` is the fine tag of the stage that produced the verdict;
     ``stage_times`` holds wall-clock seconds per *canonical* stage the call
-    passed through (see :mod:`repro.obs.stages`).
+    passed through (see :mod:`repro.obs.stages`).  ``compiled`` is whether
+    a compiled distance objective (scalar closure or batch tape) scored
+    the call's candidates — false for a call that ended at contraction.
     """
 
     status: Status = Status.UNKNOWN
     stage: str = ""
+    compiled: bool = False
     samples: int = 0
     avm_evaluations: int = 0
     elapsed_s: float = 0.0
@@ -90,8 +97,14 @@ class SolverEngine:
 
     Every finished call counts into ``registry`` (a private one when none
     is given): the ``solver.stage.*`` counters, plus compiled-vs-fallback
-    ``solverc.*`` traffic when callers pass ``compiled=`` bundles.
+    ``solverc.*`` traffic: a bundle's stages when callers pass
+    ``compiled=`` bundles, and every AVM descent of a ``kernel`` engine.
     ``timed`` also records per-stage wall-clock seconds (traced runs).
+
+    ``kernel`` (the generator's ``kernels.solver``) makes a call without
+    a bundle compile its scalar distance objective once contraction has
+    passed.  Off, such a call is the pure interpreter: it compiles and
+    counts nothing, which is what makes it the reference.
     """
 
     def __init__(
@@ -100,12 +113,14 @@ class SolverEngine:
         registry: Optional[MetricsRegistry] = None,
         *,
         timed: bool = False,
+        kernel: bool = False,
     ):
         self.config = config or SolverConfig()
         self._rng = random.Random(self.config.seed)
         self.registry = registry if registry is not None else MetricsRegistry()
         self._record = stage_recorder(self.registry, timed=timed)
         self._solverc = solverc_counters(self.registry)
+        self._kernel = kernel
 
     def solve(
         self,
@@ -123,8 +138,10 @@ class SolverEngine:
         ``compiled`` (a :class:`~repro.solverc.CompiledConstraint` for this
         exact constraint) lets the stages run their kernel forms — compiled
         contraction, batched candidate scoring, compiled AVM objective —
-        with per-stage fallback to the interpreter.  Results are
-        bit-identical either way; only speed changes.
+        with per-stage fallback to the interpreter.  Without one, a
+        ``kernel`` engine contracts through the interpreter and compiles
+        only the scalar objective, and only once contraction has passed.
+        Results are bit-identical either way; only speed changes.
         """
         if not constraint.ty.is_bool:
             raise SolverError(f"constraint must be boolean, got {constraint.ty!r}")
@@ -179,6 +196,9 @@ class SolverEngine:
             batch = compiled.batch()
         else:
             nnf = to_nnf(constraint)
+            if self._kernel:
+                scalar = scalar_objective(nnf, self._solverc)
+        stats.compiled = scalar is not None or batch is not None
         if scalar is not None:
             objective = scalar
         else:
@@ -368,7 +388,7 @@ class SolverEngine:
             mark("split")
 
         # Stage 4: AVM from the best point seen so far.
-        if compiled is not None:
+        if compiled is not None or self._kernel:
             self._solverc[
                 "avm_compiled" if scalar is not None else "avm_interpreted"
             ].inc()

@@ -10,7 +10,10 @@ exactly once per run, so a compiled piece must pay for itself within
 the calls that need it.  The distance pieces are only built when the
 sampling stages are actually reached, and the generator defers the
 whole bundle to the second visit of a pair (see
-``repro.cache.SolveCache.compiled_constraint``).
+``repro.cache.SolveCache.compiled_constraint``).  A first visit carries
+no bundle: the engine contracts through the interpreter and, only once
+contraction has passed, compiles the scalar objective alone
+(:func:`scalar_objective`) for the sampling, split and AVM stages.
 
 Compiled bundles are cached by the PR 3 state fingerprints (see
 ``repro.cache.SolveCache.compiled_constraint``), so re-visits of a
@@ -32,7 +35,6 @@ from repro.solverc.distc import (
     BatchDistance,
     compile_distance_batch,
     compile_distance_scalar,
-    worth_compiling_scalar,
 )
 from repro.solverc.tape import NotLowerable
 
@@ -40,6 +42,7 @@ __all__ = [
     "CompiledCase",
     "CompiledConstraint",
     "ConstraintCompiler",
+    "scalar_objective",
     "solverc_counters",
 ]
 
@@ -49,6 +52,19 @@ _UNSET = object()
 def solverc_counters(registry: MetricsRegistry) -> Dict[str, Counter]:
     """The ``solverc.<key>`` counters of ``registry``, by key."""
     return {key: registry.counter(f"solverc.{key}") for key in SOLVERC_COUNTERS}
+
+
+def scalar_objective(nnf: Expr, counters: Dict[str, Counter]):
+    """The compiled ``env -> distance`` closure of ``nnf``, or None.
+
+    None only when compiling raised; ``solverc.scalar_fallbacks`` counts
+    it and the caller keeps the interpreter's ``DistanceEvaluator``.
+    """
+    try:
+        return compile_distance_scalar(nnf)
+    except Exception:
+        counters["scalar_fallbacks"].inc()
+        return None
 
 
 class CompiledCase:
@@ -134,21 +150,10 @@ class CompiledConstraint:
         return self._nnf
 
     def objective(self):
-        """Compiled scalar ``env -> distance`` closure, or None.
-
-        None both on compile failure and when the constraint is a
-        heavily shared DAG — closures re-expand shared subtrees per
-        call, so there the memoizing interpreter is the fast path.
-        """
+        """Compiled scalar ``env -> distance`` closure, or None when its
+        compile raised (see :func:`scalar_objective`)."""
         if self._objective is _UNSET:
-            try:
-                if worth_compiling_scalar(self.nnf()):
-                    self._objective = compile_distance_scalar(self.nnf())
-                else:
-                    self._objective = None
-                    self._counters["scalar_fallbacks"].inc()
-            except Exception:
-                self._objective = None
+            self._objective = scalar_objective(self.nnf(), self._counters)
         return self._objective
 
     def batch(self) -> Optional[BatchDistance]:

@@ -3,11 +3,15 @@
 Two compiled forms of :class:`~repro.expr.distance.DistanceEvaluator`,
 both observably exact against the interpreter:
 
-* :func:`compile_distance_scalar` — one closure per NNF node, with atom
-  operands evaluated through :func:`repro.kernel.exprc.compile_expr`
-  (which is itself pinned observably equivalent to ``evaluate``).  Same
-  Python-float arithmetic, same ``try/except Exception`` failure
-  behaviour, so the AVM search sees bit-identical objective values.
+* :func:`compile_distance_scalar` — one closure per unique NNF node,
+  with atom operands evaluated through the share-aware mode of
+  :func:`repro.kernel.exprc.compile_expr` (itself pinned observably
+  equivalent to ``evaluate``).  The whole constraint shares one
+  :class:`~repro.kernel.exprc.SharedDag`, so a sub-DAG reached from
+  several atoms is computed once per call, as ``DistanceEvaluator``'s
+  per-call ``Evaluator`` memo computes it.  Same Python-float
+  arithmetic, same ``try/except Exception`` failure behaviour, so the
+  AVM search sees bit-identical objective values.
 * :func:`compile_distance_batch` — the atoms are lowered onto a shared
   :class:`~repro.solverc.tape.TapeBuilder` and the AND/OR/atom distance
   combinators become tape instructions, so one ``evaluate`` call scores
@@ -28,7 +32,7 @@ from typing import Callable, List, Mapping
 import numpy as np
 
 from repro.expr import ast
-from repro.expr.ast import Binary, Const, Expr, Var
+from repro.expr.ast import Binary, Const, Expr
 from repro.expr.distance import FAILURE_DISTANCE, K, _finite, normalize_raw
 from repro.expr.types import BOOL
 from repro.solverc.tape import TapeBuilder, _or
@@ -37,77 +41,116 @@ __all__ = [
     "BatchDistance",
     "compile_distance_batch",
     "compile_distance_scalar",
-    "worth_compiling_scalar",
 ]
 
 
 # -- scalar ----------------------------------------------------------------
 
 
-def worth_compiling_scalar(nnf: Expr) -> bool:
-    """Whether scalar closures would beat the interpreter on ``nnf``.
-
-    ``compile_expr`` closures drop the evaluator's per-call memoization
-    of shared sub-DAGs, so on a heavily shared constraint they re-do
-    each occurrence of a shared subtree while ``DistanceEvaluator``
-    computes it once per call.  Compare the tree expansion (capped)
-    against the number of unique DAG nodes and refuse to compile when
-    sharing would make the closure slower than the interpreter.
-    """
-    unique = set()
-    stack = [nnf]
-    while stack:
-        node = stack.pop()
-        if id(node) in unique:
-            continue
-        unique.add(id(node))
-        stack.extend(node.children)
-    # Closures run a node roughly 3x faster than the memoizing
-    # interpreter, so they stay ahead until sharing re-expands the tree
-    # past about that factor.
-    cap = 3 * len(unique) + 64
-    count = 0
-    stack = [nnf]
-    while stack:
-        node = stack.pop()
-        count += 1
-        if count > cap:
-            return False
-        stack.extend(node.children)
-    return True
-
-
-def _compile_expr(expr):
+def _shared_dag(roots):
     # Deferred: repro.kernel's package import reaches the simulator,
     # which imports repro.solver — importing exprc at module scope would
     # close that loop before repro.solver finishes initializing.
-    from repro.kernel.exprc import compile_expr
+    from repro.kernel.exprc import SharedDag
 
-    return compile_expr(expr)
+    return SharedDag(roots)
+
+
+_AND, _OR, _ATOM, _OPAQUE, _CONST = range(5)
+
+
+def _kind(node: Expr) -> int:
+    """How the distance function treats one NNF node."""
+    if isinstance(node, Const):
+        return _CONST
+    if isinstance(node, Binary):
+        if node.op == ast.AND:
+            return _AND
+        if node.op == ast.OR:
+            return _OR
+        if node.op in ast.REL_OPS:
+            return _ATOM
+    return _OPAQUE
 
 
 def compile_distance_scalar(nnf: Expr) -> Callable[[Mapping], float]:
-    """Compile an NNF constraint into an ``env -> distance`` closure."""
-    if isinstance(nnf, Const):
-        value = 0.0 if nnf.value else FAILURE_DISTANCE
+    """Compile an NNF constraint into an ``env -> distance`` closure.
+
+    Each unique node is compiled once, at the distance level (AND/OR
+    combinators, atoms) as at the value level (atom operands), and a
+    node with several parents reads a per-call memo — so both compiling
+    and one call are linear in the unique DAG, however much it shares.
+    """
+    parents, roots = _distance_dag(nnf)
+    dag = _shared_dag(roots)
+    return dag.entry(_distance_fn(nnf, parents, {}, dag))
+
+
+def _distance_fn(node: Expr, parents, closures, dag):
+    """The closure of one NNF node, compiled on its first request.
+
+    Module-level recursion, not a nested function: a closure that
+    calls itself would hold the whole compiled objective in a reference
+    cycle until the cyclic collector ran.
+    """
+    key = id(node)
+    fn = closures.get(key)
+    if fn is None:
+        fn = _distance_node(node, parents, closures, dag)
+        if parents[key] > 1:
+            fn = dag.memoize(fn)
+        closures[key] = fn
+    return fn
+
+
+def _distance_dag(nnf: Expr):
+    """Distance-level parent counts and the atoms' value roots.
+
+    The roots list an atom's two operands (an opaque atom: the node
+    itself) once per *unique* atom, since each compiles once.
+    """
+    parents = {id(nnf): 1}
+    roots: List[Expr] = []
+    seen = set()
+    stack = [nnf]
+    while stack:
+        node = stack.pop()
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        kind = _kind(node)
+        if kind in (_AND, _OR):
+            for child in (node.left, node.right):
+                parents[id(child)] = parents.get(id(child), 0) + 1
+                stack.append(child)
+        elif kind == _ATOM:
+            roots += (node.left, node.right)
+        elif kind == _OPAQUE:
+            roots.append(node)
+    return parents, roots
+
+
+def _distance_node(
+    node: Expr, parents, closures, dag
+) -> Callable[[Mapping], float]:
+    kind = _kind(node)
+    if kind == _CONST:
+        value = 0.0 if node.value else FAILURE_DISTANCE
         return lambda env: value
-    if isinstance(nnf, Binary):
-        if nnf.op == ast.AND:
-            left = compile_distance_scalar(nnf.left)
-            right = compile_distance_scalar(nnf.right)
+    if kind in (_AND, _OR):
+        left = _distance_fn(node.left, parents, closures, dag)
+        right = _distance_fn(node.right, parents, closures, dag)
+        if kind == _AND:
             return lambda env: left(env) + right(env)
-        if nnf.op == ast.OR:
-            left = compile_distance_scalar(nnf.left)
-            right = compile_distance_scalar(nnf.right)
-            return lambda env: min(left(env), right(env))
-        if nnf.op in ast.REL_OPS:
-            return _compile_atom_scalar(nnf)
-    return _compile_opaque_scalar(nnf)
+        return lambda env: min(left(env), right(env))
+    if kind == _ATOM:
+        return _compile_atom_scalar(node, dag)
+    return _compile_opaque_scalar(node, dag)
 
 
-def _compile_atom_scalar(atom: Binary) -> Callable[[Mapping], float]:
-    left = _compile_expr(atom.left)
-    right = _compile_expr(atom.right)
+def _compile_atom_scalar(atom: Binary, dag) -> Callable[[Mapping], float]:
+    left = dag.compile(atom.left)
+    right = dag.compile(atom.right)
     # compile_expr coerces every result through the node's static type,
     # so "is a bool involved" is decidable here rather than per call.
     coerce_bool = atom.left.ty is BOOL or atom.right.ty is BOOL
@@ -129,8 +172,8 @@ def _compile_atom_scalar(atom: Binary) -> Callable[[Mapping], float]:
     return distance
 
 
-def _compile_opaque_scalar(expr: Expr) -> Callable[[Mapping], float]:
-    compiled = _compile_expr(expr)
+def _compile_opaque_scalar(expr: Expr, dag) -> Callable[[Mapping], float]:
+    compiled = dag.compile(expr)
 
     def distance(env: Mapping) -> float:
         try:

@@ -37,7 +37,7 @@ import numpy as np
 
 from repro.expr import ast
 from repro.expr.ast import Binary, Const, Expr, Ite, Select, Unary, Var
-from repro.expr.types import BOOL, INT
+from repro.expr.types import INT
 from repro.solver.box import _initial_domain
 from repro.solver.contractor import _forward_binary, _forward_unary
 from repro.solver.interval import Interval

@@ -104,7 +104,12 @@ def kernel_fallback_rate(manifest: Dict[str, object]) -> Optional[float]:
 
 
 def solverc_fallback_rate(manifest: Dict[str, object]) -> Optional[float]:
-    """Solver-kernel scalar candidates over all candidate evaluations."""
+    """Share of compiled-bundle candidates the batch tape did not score.
+
+    ``candidates_scalar`` counts only candidates of solves that carried a
+    bundle, scored one at a time because its batch tape did not lower.
+    First visits carry no bundle and are not in either count.
+    """
     counters = _counters(manifest)
     scalar = int(counters.get("solverc.candidates_scalar", 0))
     batched = int(counters.get("solverc.candidates_batched", 0))
